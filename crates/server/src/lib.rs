@@ -33,29 +33,29 @@
 //!
 //! The [`replication`] module adds STAR-style asymmetric roles on top:
 //! either server acts as a **primary**, shipping committed WAL records to
-//! subscribed [`ReplicaServer`]s over a `REPLICATE` feed (a dedicated
-//! `replication` stage on the staged server), while replicas apply the
-//! feed transactionally and serve snapshot reads only. The [`reactivity`]
-//! module reuses the same bounded-outbox machinery to serve `SUBSCRIBE`
-//! change feeds: committed changes stream to clients as `CHANGE` lines,
-//! whole transactions at a time, in commit order.
+//! subscribed [`ReplicaServer`]s over a `REPLICATE` feed, while replicas
+//! apply the feed transactionally and serve snapshot reads only. Both
+//! that feed and the `SUBSCRIBE` change feeds (committed changes streamed
+//! as `CHANGE` lines, whole transactions at a time, in commit order) are
+//! served by one [`log_tail::LogTail`] per primary: one registry, one
+//! bounded-outbox discipline, and one read of each new WAL record for
+//! every consumer (a dedicated `replication` stage pumps it on the staged
+//! server).
 
 #![deny(missing_docs)]
 
+pub mod log_tail;
 pub mod net;
 pub mod pipeline;
-pub mod reactivity;
 pub mod replication;
 pub mod session;
 pub mod staged_server;
 pub mod threaded;
 pub mod types;
 
+pub use log_tail::{LogTail, ReactivityHub, ReplicationHub, SubscriptionStats};
 pub use net::{serve, NetConfig, NetHandle, NetStats};
-pub use reactivity::{ReactivityHub, SubscriptionStats};
-pub use replication::{
-    ReplicaConfig, ReplicaServer, ReplicaSession, ReplicaStatus, ReplicationHub,
-};
+pub use replication::{ReplicaConfig, ReplicaServer, ReplicaSession, ReplicaStatus};
 pub use session::TxnRuntime;
 pub use staged_server::{StagedServer, StagedSession};
 pub use threaded::{ThreadedServer, ThreadedSession};

@@ -53,8 +53,8 @@
 //! bounded outbox and gets the subscriber evicted by the pump, never an
 //! unbounded local buffer (PROTOCOL.md §7–8).
 
-use crate::reactivity::ReactivityHub;
-use crate::replication::{ReplicaServer, ReplicaSession, ReplicationHub};
+use crate::log_tail::{ReactivityHub, ReplicationHub};
+use crate::replication::{ReplicaServer, ReplicaSession};
 use crate::types::{QueryOutput, Response, ServerError};
 use crate::{StagedServer, StagedSession, ThreadedServer, ThreadedSession};
 use crossbeam::channel::{bounded, Receiver, TryRecvError, WakeHook};
@@ -1283,28 +1283,19 @@ fn net_loop<B: WireBackend>(listener: TcpListener, backend: B, shared: Arc<NetSh
         for conn in conns.iter_mut() {
             service(conn, &backend, &mut budget, &waker);
         }
-        // A feed that is fully caught up drives the hub's catch-up itself
-        // instead of waiting for the owner's idle tick.
-        let mut pump_repl = false;
-        let mut pump_sub = false;
-        for conn in &conns {
-            match &conn.mode {
-                Mode::Replicate { rx, .. } if conn.wbuf.is_empty() && rx.is_empty() => {
-                    pump_repl = true;
-                }
-                Mode::Subscribe { rx, .. } if conn.wbuf.is_empty() && rx.is_empty() => {
-                    pump_sub = true;
-                }
-                _ => {}
+        // A feed that is fully caught up drives the log tail itself instead
+        // of waiting for the owner's idle tick. Either front door pumps the
+        // one tail behind both, so one call serves every feed.
+        let caught_up = conns.iter().any(|conn| match &conn.mode {
+            Mode::Replicate { rx, .. } | Mode::Subscribe { rx, .. } => {
+                conn.wbuf.is_empty() && rx.is_empty()
             }
-        }
-        if pump_repl {
+            _ => false,
+        });
+        if caught_up {
             if let Some(hub) = backend.replication() {
                 hub.pump();
-            }
-        }
-        if pump_sub {
-            if let Some(hub) = backend.reactivity() {
+            } else if let Some(hub) = backend.reactivity() {
                 hub.pump();
             }
         }

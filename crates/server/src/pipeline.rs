@@ -95,6 +95,11 @@ pub fn parse_stage(
     bind_statement(stmt, catalog, tracker)
 }
 
+/// The `LIMIT` that marks a bound SELECT as the body of an `EXPLAIN`: the
+/// optimize stage renders its plan instead of running it. No parsed query
+/// asks for this many rows.
+const EXPLAIN_LIMIT: u64 = u64::MAX;
+
 /// Bind an already-parsed statement.
 pub fn bind_statement(
     stmt: Statement,
@@ -113,16 +118,10 @@ pub fn bind_statement(
             Ok(Parsed::NeedsPlan(Box::new(bound)))
         }
         Statement::Explain(inner) => match bind_statement(*inner, catalog, tracker)? {
-            Parsed::NeedsPlan(bound) => Ok(Parsed::NeedsPlan(
-                Box::new(BoundSelect {
-                    stmt: bound.stmt,
-                    tables: bound.tables,
-                    scope: bound.scope,
-                    output: bound.output,
-                    projections: bound.projections,
-                })
-                .explained(),
-            )),
+            Parsed::NeedsPlan(mut bound) => {
+                bound.stmt.limit = Some(EXPLAIN_LIMIT);
+                Ok(Parsed::NeedsPlan(bound))
+            }
             Parsed::Action(_) => Ok(Parsed::Action(Box::new(PlannedAction::Explain {
                 text: "non-SELECT statements execute directly".into(),
             }))),
@@ -330,44 +329,13 @@ fn bind_filter(
     }
 }
 
-/// Marker wrapper: an EXPLAIN'd bound select. We piggyback on `BoundSelect`
-/// by setting a limit-0 sentinel; instead, the server tracks EXPLAIN out of
-/// band — see [`BoundSelectExt`].
-pub trait BoundSelectExt {
-    /// Tag this bound SELECT as explain-only.
-    fn explained(self) -> Box<BoundSelect>;
-    /// Was this tagged?
-    fn is_explain(&self) -> bool;
-}
-
-impl BoundSelectExt for Box<BoundSelect> {
-    fn explained(mut self) -> Box<BoundSelect> {
-        // A DISTINCT+LIMIT 0 combination cannot be produced by parsing
-        // `EXPLAIN`-less SQL through this path, but rather than a sentinel
-        // we use an explicit side flag carried in `stmt.limit`'s unused
-        // high bit — too clever. Keep it simple: a dedicated marker field
-        // would change the public sql AST, so the server wraps EXPLAIN
-        // before this point. This impl only exists to keep the pipeline
-        // uniform; it marks via an impossible limit value.
-        self.stmt.limit = Some(u64::MAX);
-        self
-    }
-
-    fn is_explain(&self) -> bool {
-        self.stmt.limit == Some(u64::MAX)
-    }
-}
-
 /// The optimize stage of Figure 3.
 pub fn optimize_stage(
     bound: &BoundSelect,
     catalog: &Catalog,
     config: &PlannerConfig,
 ) -> Result<PlannedAction, ServerError> {
-    let is_explain = {
-        let boxed: &BoundSelect = bound;
-        boxed.stmt.limit == Some(u64::MAX)
-    };
+    let is_explain = bound.stmt.limit == Some(EXPLAIN_LIMIT);
     let mut bound_clone = BoundSelect {
         stmt: bound.stmt.clone(),
         tables: bound.tables.clone(),

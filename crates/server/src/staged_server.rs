@@ -1,8 +1,7 @@
 //! The staged DBMS server (paper Figure 3, top row).
 
+use crate::log_tail::{LogTail, ReactivityHub, ReplicationHub};
 use crate::pipeline::{self, Exec, Parsed, PlannedAction};
-use crate::reactivity::ReactivityHub;
-use crate::replication::ReplicationHub;
 use crate::session::{StatementCtx, TxnRuntime};
 use crate::types::{ExecutionMode, Response, ServerConfig, ServerError};
 use crossbeam::channel::{bounded, Receiver};
@@ -102,13 +101,15 @@ struct ServerShared {
     /// True while an idle-raised checkpoint packet is queued or running;
     /// stops the idle hook from stacking duplicates.
     auto_pending: AtomicBool,
-    /// WAL-shipping hub: the primary side of replication. Connected
-    /// replicas subscribe through the network front end; the dedicated
-    /// `replication` stage pumps committed records to them from its idle
+    /// Segment of the latest checkpoint LSN (recovery's, until the first
+    /// checkpoint here): the idle hook measures log growth from it.
+    checkpoint_segment: AtomicU64,
+    /// WAL-shipping front door of the log tail: the primary side of
+    /// replication. Connected replicas subscribe through the network front
+    /// end; the dedicated `replication` stage pumps the tail from its idle
     /// hook.
     replication: Arc<ReplicationHub>,
-    /// Subscription hub: `SUBSCRIBE` change feeds, sourced from the same
-    /// WAL and pumped from the same `replication` stage idle hook.
+    /// `SUBSCRIBE` change-feed front door onto the same log tail.
     reactivity: Arc<ReactivityHub>,
 }
 
@@ -385,15 +386,18 @@ impl StageLogic<SPacket> for CheckpointStage {
             // The database is still: every partition lock is ours, and
             // in-flight writers hold theirs through commit (strict 2PL),
             // so none are mid-statement.
-            // The truncation floor is clamped to the minimum replica-acked
-            // LSN: history a live replica has not yet confirmed durable
-            // stays on disk so a reconnect can resume, not re-seed.
+            // The truncation floor is clamped to the log tail's floor:
+            // history a live replica has not yet confirmed durable, or a
+            // subscriber has not yet read, stays on disk.
             let res = checkpoint::checkpoint_with_floor(
                 &shared.catalog,
                 &shared.wal,
                 shared.snapshots.as_ref(),
-                shared.replication.min_acked(),
+                shared.replication.tail().floor(),
             );
+            if let Ok(o) = &res {
+                shared.checkpoint_segment.store(o.lsn.segment, Ordering::Release);
+            }
             // Writers are quiesced (we hold every partition lock), so dead
             // versions can be reclaimed before the world is released.
             let gc = checkpoint::vacuum(&shared.catalog, shared.txn.mgr());
@@ -428,8 +432,11 @@ impl StageLogic<SPacket> for CheckpointStage {
     fn on_idle(&self, ctx: &StageCtx<'_, SPacket>) {
         let shared = &self.shared;
         let Some(limit) = shared.config.checkpoint_segments else { return };
-        let live = shared.wal.segments().map(|s| s.len() as u64).unwrap_or(0);
-        if live <= limit {
+        // Count log growth since the last checkpoint, not live segments: a
+        // floor held back by a lagging feed keeps segments alive, and
+        // checkpointing again would only rotate into empty segments.
+        let current = shared.wal.next_lsn().segment;
+        if current.saturating_sub(shared.checkpoint_segment.load(Ordering::Acquire)) < limit {
             return;
         }
         if shared
@@ -448,14 +455,14 @@ impl StageLogic<SPacket> for CheckpointStage {
     }
 }
 
-/// The replication stage: the shipping side of the primary, run as its own
+/// The replication stage: the feed side of the primary, run as its own
 /// bounded stage like everything else in the server. It receives no client
-/// packets — its work hook is `on_idle`, which pumps committed WAL records
-/// into every subscribed replica's bounded outbox (evicting replicas whose
-/// outbox is full rather than buffering without bound). Feed connection
-/// threads also pump on their own when caught up, so this stage's idle
-/// cadence only bounds the *eviction* latency of a stalled replica, not the
-/// shipping latency of a healthy one.
+/// packets — its work hook is `on_idle`, which pumps the log tail: newly
+/// committed WAL records go into every replica's and subscriber's bounded
+/// outbox (evicting feeds that stopped draining rather than buffering
+/// without bound). The network loop also pumps when a feed is caught up,
+/// so this stage's idle cadence only bounds the *eviction* latency of a
+/// stalled feed, not the delivery latency of a healthy one.
 struct ReplicationStage {
     shared: Arc<ServerShared>,
 }
@@ -467,10 +474,8 @@ impl StageLogic<SPacket> for ReplicationStage {
     }
 
     fn on_idle(&self, _ctx: &StageCtx<'_, SPacket>) {
+        // One pump serves every feed: replicas and subscribers alike.
         self.shared.replication.pump();
-        // The subscription hub shares the stage: same source (the WAL),
-        // same bounded-outbox discipline, same eviction cadence.
-        self.shared.reactivity.pump();
     }
 }
 
@@ -589,13 +594,14 @@ impl StagedServer {
             checkpoint::recover(&ctx, segments, snapshots.as_ref(), config.wal_segment_pages)
                 .map_err(|e| ServerError::Execution(format!("recovery failed: {e}")))?;
         let wal = Arc::new(wal);
-        let replication =
-            Arc::new(ReplicationHub::new(Arc::clone(&wal), config.replication_outbox));
-        let reactivity = Arc::new(ReactivityHub::new(
+        let tail = Arc::new(LogTail::new(
             Arc::clone(&wal),
-            Arc::clone(&catalog),
+            config.replication_outbox,
             config.subscription_outbox,
         ));
+        let replication = Arc::new(ReplicationHub::new(Arc::clone(&tail)));
+        let reactivity = Arc::new(ReactivityHub::new(tail, Arc::clone(&catalog)));
+        let checkpoint_segment = AtomicU64::new(recovery.checkpoint_lsn.segment);
         let engine = StagedEngine::new(ctx.clone(), config.engine.clone());
         let txn = TxnRuntime::for_catalog(&catalog);
         let shared = Arc::new(ServerShared {
@@ -612,6 +618,7 @@ impl StagedServer {
             served: AtomicU64::new(0),
             checkpointing: AtomicBool::new(false),
             auto_pending: AtomicBool::new(false),
+            checkpoint_segment,
             replication,
             reactivity,
         });
@@ -844,15 +851,15 @@ impl StagedServer {
         &self.shared.wal
     }
 
-    /// The WAL-shipping hub (primary side of replication): replica
-    /// subscriptions, the shipping pump, and the acked-LSN floor that
-    /// clamps checkpoint truncation.
+    /// The WAL-shipping front door of the log tail (primary side of
+    /// replication): replica subscriptions, `ACK`s, and the replicas-only
+    /// acked floor.
     pub fn replication_hub(&self) -> &Arc<ReplicationHub> {
         &self.shared.replication
     }
 
-    /// The subscription hub (`SUBSCRIBE` change feeds): registrations,
-    /// bounded per-subscriber outboxes, and the change pump.
+    /// The subscription front door of the log tail (`SUBSCRIBE` change
+    /// feeds): registrations, unsubscribe and drain.
     pub fn reactivity_hub(&self) -> &Arc<ReactivityHub> {
         &self.shared.reactivity
     }

@@ -7,9 +7,8 @@
 //! Volcano engine; the pool size is the knob whose tuning dilemma Figure 2
 //! demonstrates.
 
+use crate::log_tail::{LogTail, ReactivityHub, ReplicationHub, DEFAULT_OUTBOX_CAPACITY};
 use crate::pipeline::{self, Exec, Parsed, PlannedAction};
-use crate::reactivity::ReactivityHub;
-use crate::replication::ReplicationHub;
 use crate::session::{StatementCtx, TxnRuntime};
 use crate::types::{QueryOutput, Request, RequestBody, Response, ServerError};
 use crossbeam::channel::{bounded, Receiver};
@@ -38,12 +37,11 @@ struct Inner {
     lock_timeout: Duration,
     served: AtomicU64,
     pool_size: usize,
-    /// WAL-shipping hub (primary side of replication); pumped by the
-    /// dedicated `repl-pump` thread — the monolithic counterpart of the
-    /// staged server's `replication` stage.
+    /// WAL-shipping front door (primary side of replication) onto the one
+    /// log tail, which the dedicated `repl-pump` thread pumps — the
+    /// monolithic counterpart of the staged server's `replication` stage.
     replication: Arc<ReplicationHub>,
-    /// `SUBSCRIBE` change-feed hub, pumped by the same `repl-pump`
-    /// thread that drives WAL shipping.
+    /// `SUBSCRIBE` change-feed front door onto the same tail.
     reactivity: Arc<ReactivityHub>,
     /// Stops the `repl-pump` thread at shutdown.
     stop: AtomicBool,
@@ -131,15 +129,13 @@ impl ThreadedServer {
         )
         .map_err(|e| ServerError::Execution(format!("recovery failed: {e}")))?;
         let wal = Arc::new(wal);
-        let replication = Arc::new(ReplicationHub::new(
+        let tail = Arc::new(LogTail::new(
             Arc::clone(&wal),
-            crate::replication::DEFAULT_OUTBOX_CAPACITY,
+            DEFAULT_OUTBOX_CAPACITY,
+            DEFAULT_OUTBOX_CAPACITY,
         ));
-        let reactivity = Arc::new(ReactivityHub::new(
-            Arc::clone(&wal),
-            Arc::clone(&catalog),
-            crate::replication::DEFAULT_OUTBOX_CAPACITY,
-        ));
+        let replication = Arc::new(ReplicationHub::new(Arc::clone(&tail)));
+        let reactivity = Arc::new(ReactivityHub::new(tail, Arc::clone(&catalog)));
         let txn = TxnRuntime::for_catalog(&catalog);
         let inner = Arc::new(Inner {
             ctx,
@@ -165,10 +161,10 @@ impl ThreadedServer {
                     .expect("spawn pool worker")
             })
             .collect();
-        // The shipping pump: in the monolithic server there is no stage to
-        // hang an idle hook on, so a dedicated thread pumps the hub. Feed
-        // connection threads still self-pump when caught up; this thread
-        // mainly bounds stalled-replica eviction latency.
+        // The feed pump: in the monolithic server there is no stage to hang
+        // an idle hook on, so a dedicated thread pumps the log tail (every
+        // replica and subscriber feed). The network loop still pumps when a
+        // feed is caught up; this thread mainly bounds eviction latency.
         let pump = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
@@ -176,7 +172,6 @@ impl ThreadedServer {
                 .spawn(move || {
                     while !inner.stop.load(Ordering::Acquire) {
                         inner.replication.pump();
-                        inner.reactivity.pump();
                         std::thread::sleep(Duration::from_millis(5));
                     }
                 })
@@ -194,13 +189,13 @@ impl ThreadedServer {
         let locks = inner.txn.mgr().locks();
         let _guard = checkpoint::quiesce(locks, &inner.catalog, inner.lock_timeout)
             .map_err(|e| ServerError::Execution(e.to_string()))?;
-        // Truncation holds back history a live replica has not yet acked,
-        // so a reconnect resumes instead of re-seeding.
+        // Truncation holds back history a live feed still needs: what a
+        // replica has not yet acked, what a subscriber has not yet read.
         let outcome = checkpoint::checkpoint_with_floor(
             &inner.catalog,
             &inner.wal,
             inner.snapshots.as_ref(),
-            inner.replication.min_acked(),
+            inner.replication.tail().floor(),
         )
         .map_err(|e| ServerError::Execution(e.to_string()))?;
         // The quiesce guard is still held: the database is still, so this
@@ -250,15 +245,15 @@ impl ThreadedServer {
         self.inner.pool_size
     }
 
-    /// The WAL-shipping hub (primary side of replication): replica
-    /// subscriptions, the shipping pump, and the acked-LSN floor that
-    /// clamps checkpoint truncation.
+    /// The WAL-shipping front door of the log tail (primary side of
+    /// replication): replica subscriptions, `ACK`s, and the replicas-only
+    /// acked floor.
     pub fn replication_hub(&self) -> &Arc<ReplicationHub> {
         &self.inner.replication
     }
 
-    /// The subscription hub (`SUBSCRIBE` change feeds): registrations,
-    /// bounded per-subscriber outboxes, and the change pump.
+    /// The subscription front door of the log tail (`SUBSCRIBE` change
+    /// feeds): registrations, unsubscribe and drain.
     pub fn reactivity_hub(&self) -> &Arc<ReactivityHub> {
         &self.inner.reactivity
     }

@@ -192,10 +192,11 @@ pub struct ServerConfig {
     /// the current one reaches this size; checkpoints truncate whole
     /// segments below the checkpoint LSN).
     pub wal_segment_pages: u64,
-    /// Auto-checkpoint threshold: when the live log holds more than this
-    /// many segments, the checkpoint stage starts a checkpoint on its own
-    /// during an idle moment. `None` disables automatic checkpoints
-    /// (the `CHECKPOINT` command still works).
+    /// Auto-checkpoint threshold: once the log has grown this many
+    /// segments past the last checkpoint's segment, the checkpoint stage
+    /// starts a checkpoint on its own during an idle moment. `None`
+    /// disables automatic checkpoints (the `CHECKPOINT` command still
+    /// works).
     pub checkpoint_segments: Option<u64>,
     /// Per-replica outbox capacity in framed lines: how far a replica's
     /// feed may fall behind the shipping pump before the replica is
@@ -224,8 +225,8 @@ impl Default for ServerConfig {
             lock_timeout: Duration::from_secs(2),
             wal_segment_pages: staged_storage::DEFAULT_SEGMENT_PAGES,
             checkpoint_segments: None,
-            replication_outbox: crate::replication::DEFAULT_OUTBOX_CAPACITY,
-            subscription_outbox: crate::replication::DEFAULT_OUTBOX_CAPACITY,
+            replication_outbox: crate::log_tail::DEFAULT_OUTBOX_CAPACITY,
+            subscription_outbox: crate::log_tail::DEFAULT_OUTBOX_CAPACITY,
         }
     }
 }

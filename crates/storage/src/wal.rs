@@ -13,10 +13,10 @@
 //!   record's first fragment header. Lexicographic order is log order, and
 //!   a replica or recovery pass can resume from any LSN it was handed.
 //! - Every WAL page carries an 8-byte header: a CRC-32 over the rest of
-//!   the page, the `used` payload length, and two reserved bytes. The tail
-//!   page is rewritten in place as records accumulate, so a crash can tear
-//!   it; the checksum turns that tear into a detected **end of log**
-//!   instead of garbage decoded as records.
+//!   the page, the `used` payload length, and flags (one bit: the page
+//!   opens mid-record). The tail page is rewritten in place as records
+//!   accumulate, so a crash can tear it; the checksum turns that tear into
+//!   a detected **end of log** instead of garbage decoded as records.
 //! - Records are framed as **fragments** (`u32` header: high bit = "more
 //!   fragments follow", low 31 bits = payload length), so a record larger
 //!   than a page spans pages within its segment instead of aborting the
@@ -30,13 +30,14 @@
 //! Reading back comes in two strengths. The strict readers
 //! ([`Wal::read_all`], [`Wal::read_from`]) error with
 //! [`StorageError::Corrupt`] — never panic — on any damage. The tolerant
-//! readers ([`Wal::read_store`], [`Wal::read_store_from`],
-//! [`Wal::read_prefix`]) return the longest valid prefix plus an optional
-//! error, which is what recovery wants: a torn tail is silently the end of
-//! the log, while corruption *in front of* valid data is reported.
-//! Recovery code must use the static store readers **before**
-//! [`Wal::open`], because open repairs the tail (zeroing everything past
-//! the valid prefix) and thereby destroys the evidence.
+//! readers ([`Wal::read_store`], [`Wal::read_store_from`]) return the
+//! longest valid prefix plus an optional error, which is what recovery
+//! wants: a torn tail is silently the end of the log, while corruption
+//! *in front of* valid data is reported. Recovery code must use them
+//! **before** [`Wal::open`], because open repairs the tail (zeroing
+//! everything past the valid prefix) and thereby destroys the evidence.
+//! Live consumers tail the log with [`Wal::read_flushed`], which resumes
+//! at any LSN by reading from the page that holds it.
 
 use crate::disk::{DiskManager, IoStats};
 use crate::error::{StorageError, StorageResult};
@@ -46,8 +47,11 @@ use crate::tuple::Rid;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Bytes of page header: CRC-32 (4) + `used` length (2) + reserved (2).
+/// Bytes of page header: CRC-32 (4) + `used` length (2) + flags (2).
 const PAGE_HEADER: usize = 8;
+/// Page flag: the page's first fragment continues a record that began on
+/// an earlier page (so a reader resuming here skips to the next record).
+const FIRST_IS_CONTINUATION: u8 = 1;
 /// Bytes of fragment header: one little-endian `u32`.
 const FRAG_HEADER: usize = 4;
 /// High bit of a fragment header: more fragments of this record follow.
@@ -304,7 +308,6 @@ impl WalInner {
     fn write_tail(&mut self) -> StorageResult<()> {
         let used = self.used as u16;
         self.buf[4..6].copy_from_slice(&used.to_le_bytes());
-        self.buf[6..8].fill(0);
         let crc = crc32(&self.buf[4..]);
         self.buf[0..4].copy_from_slice(&crc.to_le_bytes());
         while self.disk.num_pages() <= self.page_idx {
@@ -347,37 +350,48 @@ pub struct Wal {
 
 /// Result of scanning one segment for records.
 struct SegScan {
-    /// `(offset, record)` for every complete, decodable record.
-    records: Vec<(u64, LogRecord)>,
     /// Offset one past the last complete record (the valid prefix end).
     end: u64,
     /// Damage found in front of the prefix end, if any. `None` with a
     /// shortened prefix means a clean torn tail (end of log).
     error: Option<StorageError>,
+    /// The visitor asked to stop before the segment ended.
+    stopped: bool,
 }
 
-/// Scan a segment page by page, stopping at the first structural problem.
-/// `is_final` relaxes the rules for the segment the writer was last
-/// appending to: a checksum-failing page with nothing valid after it, or a
-/// fragment chain left dangling at the very end, is a crash artifact — the
-/// end of the log — not corruption.
-fn scan_segment(disk: &dyn DiskManager, is_final: bool) -> SegScan {
+/// Scan a segment page by page from byte offset `from`, handing `visit`
+/// every complete record whose offset is at or after `from`, and stopping
+/// at the first structural problem or when `visit` returns false. Pages
+/// in front of the one holding `from` are not read, and records in front
+/// of `from` on that page are stepped over without being decoded; the
+/// page's continuation flag says whether its first fragment ends a record
+/// begun earlier. `is_final` relaxes the rules for the segment the writer
+/// was last appending to: a checksum-failing page with nothing valid after
+/// it, or a fragment chain left dangling at the very end, is a crash
+/// artifact — the end of the log — not corruption.
+fn scan_segment(
+    disk: &dyn DiskManager,
+    is_final: bool,
+    from: u64,
+    visit: &mut dyn FnMut(u64, LogRecord) -> bool,
+) -> SegScan {
     let corrupt = |msg: &str| Some(StorageError::Corrupt(msg.into()));
     let num_pages = disk.num_pages();
-    let mut records = Vec::new();
+    let first = from / PAGE_SIZE as u64;
     let mut end = PAGE_HEADER as u64;
     let mut buf = [0u8; PAGE_SIZE];
     let mut chain: Vec<u8> = Vec::new();
     let mut chain_start: Option<u64> = None;
-    for p in 0..num_pages {
+    let mut skip_chain = false;
+    for p in first..num_pages {
         if let Err(e) = disk.read_page(PageId(p), &mut buf) {
-            return SegScan { records, end, error: Some(e) };
+            return SegScan { end, error: Some(e), stopped: false };
         }
         let stored = u32::from_le_bytes(buf[0..4].try_into().unwrap());
         if crc32(&buf[4..]) != stored {
             if !is_final {
                 let error = corrupt("wal page checksum mismatch in sealed segment");
-                return SegScan { records, end, error };
+                return SegScan { end, error, stopped: false };
             }
             // A torn tail is only "end of log" if nothing valid follows it;
             // a bad page sitting in front of good ones is real corruption.
@@ -387,14 +401,17 @@ fn scan_segment(disk: &dyn DiskManager, is_final: bool) -> SegScan {
                     && crc32(&later[4..]) == u32::from_le_bytes(later[0..4].try_into().unwrap());
                 if valid {
                     let error = corrupt("wal page checksum mismatch before valid pages");
-                    return SegScan { records, end, error };
+                    return SegScan { end, error, stopped: false };
                 }
             }
-            return SegScan { records, end, error: None };
+            return SegScan { end, error: None, stopped: false };
+        }
+        if p == first && p > 0 {
+            skip_chain = buf[6] & FIRST_IS_CONTINUATION != 0;
         }
         let used = u16::from_le_bytes([buf[4], buf[5]]) as usize;
         if !(PAGE_HEADER..=PAGE_SIZE).contains(&used) {
-            return SegScan { records, end, error: corrupt("wal page `used` out of range") };
+            return SegScan { end, error: corrupt("wal page `used` out of range"), stopped: false };
         }
         let mut off = PAGE_HEADER;
         while off + FRAG_HEADER <= used {
@@ -403,37 +420,86 @@ fn scan_segment(disk: &dyn DiskManager, is_final: bool) -> SegScan {
             let more = word & MORE_FLAG != 0;
             if off + FRAG_HEADER + len > used {
                 let error = corrupt("wal fragment overruns page payload");
-                return SegScan { records, end, error };
+                return SegScan { end, error, stopped: false };
             }
-            if chain_start.is_none() {
-                chain_start = Some(p * PAGE_SIZE as u64 + off as u64);
+            let frag = &buf[off + FRAG_HEADER..off + FRAG_HEADER + len];
+            let start = *chain_start.get_or_insert(p * PAGE_SIZE as u64 + off as u64);
+            // Records in front of `from` are only stepped over.
+            let wanted = !skip_chain && start >= from;
+            if wanted {
+                chain.extend_from_slice(frag);
             }
-            chain.extend_from_slice(&buf[off + FRAG_HEADER..off + FRAG_HEADER + len]);
             off += FRAG_HEADER + len;
             if !more {
-                match LogRecord::decode(&chain) {
-                    Ok((rec, consumed)) if consumed == chain.len() => {
-                        records.push((chain_start.take().unwrap(), rec));
-                        chain.clear();
-                        end = p * PAGE_SIZE as u64 + off as u64;
+                chain_start = None;
+                skip_chain = false;
+                let rec = if wanted {
+                    match LogRecord::decode(&chain) {
+                        Ok((rec, consumed)) if consumed == chain.len() => Some(rec),
+                        _ => {
+                            let error = corrupt("undecodable wal record");
+                            return SegScan { end, error, stopped: false };
+                        }
                     }
-                    _ => {
-                        let error = corrupt("undecodable wal record");
-                        return SegScan { records, end, error };
-                    }
+                } else {
+                    None
+                };
+                chain.clear();
+                end = p * PAGE_SIZE as u64 + off as u64;
+                if rec.is_some_and(|rec| !visit(start, rec)) {
+                    return SegScan { end, error: None, stopped: true };
                 }
             }
         }
         if off != used {
             let error = corrupt("wal page payload not fragment-aligned");
-            return SegScan { records, end, error };
+            return SegScan { end, error, stopped: false };
         }
     }
     if chain_start.is_some() && !is_final {
         let error = corrupt("wal record chain dangling at sealed segment end");
-        return SegScan { records, end, error };
+        return SegScan { end, error, stopped: false };
     }
-    SegScan { records, end, error: None }
+    SegScan { end, error: None, stopped: false }
+}
+
+/// Visit the records of `store` at or after `from`, in log order, until
+/// `visit` returns false. Returns the position the scan reached (just past
+/// the last complete record it stepped over, in the last segment it
+/// opened) and the damage that ended it early, if any. Segments below
+/// `from.segment` are not opened.
+fn scan_store(
+    store: &dyn SegmentStore,
+    from: Lsn,
+    visit: &mut dyn FnMut(Lsn, LogRecord) -> bool,
+) -> (Lsn, Option<StorageError>) {
+    let ids = match store.list() {
+        Ok(ids) => ids,
+        Err(e) => return (from, Some(e)),
+    };
+    for w in ids.windows(2) {
+        if w[1] != w[0] + 1 {
+            let e = StorageError::Corrupt(format!("wal segment gap: {} then {}", w[0], w[1]));
+            return (from, Some(e));
+        }
+    }
+    let mut reached = from;
+    let last = ids.last().copied().unwrap_or(0);
+    for &id in ids.iter().filter(|&&id| id >= from.segment) {
+        let disk = match store.open(id) {
+            Ok(d) => d,
+            Err(e) => return (reached, Some(e)),
+        };
+        let start = if id == from.segment { from.offset } else { 0 };
+        let scan = scan_segment(disk.as_ref(), id == last, start, &mut |offset, rec| {
+            visit(Lsn { segment: id, offset }, rec)
+        });
+        reached = reached.max(Lsn { segment: id, offset: scan.end });
+        if scan.error.is_some() || scan.stopped {
+            return (reached, scan.error);
+        }
+    }
+    (reached, None)
 }
 
 impl Wal {
@@ -458,7 +524,7 @@ impl Wal {
         let ids = store.list()?;
         let seg_id = ids.last().copied().unwrap_or(0);
         let disk = store.open(seg_id)?;
-        let scan = scan_segment(disk.as_ref(), true);
+        let scan = scan_segment(disk.as_ref(), true, 0, &mut |_, _| true);
         let page_idx = scan.end / PAGE_SIZE as u64;
         let in_page = (scan.end % PAGE_SIZE as u64) as usize;
         let mut buf = Box::new([0u8; PAGE_SIZE]);
@@ -508,11 +574,6 @@ impl Wal {
         Self::open(Arc::new(MemSegmentStore::new())).expect("in-memory WAL open cannot fail")
     }
 
-    /// The segment store behind this log.
-    pub fn store(&self) -> Arc<dyn SegmentStore> {
-        Arc::clone(&self.store)
-    }
-
     /// Segment size in pages (the rotation threshold).
     pub fn segment_pages(&self) -> u64 {
         self.segment_pages
@@ -549,6 +610,7 @@ impl Wal {
                 break;
             }
             inner.close_page()?;
+            inner.buf[6] = FIRST_IS_CONTINUATION;
         }
         inner.next = Lsn { segment: inner.seg_id, offset: inner.tail_offset() };
         inner.dirty = true;
@@ -652,16 +714,6 @@ impl Wal {
         }
     }
 
-    /// Tolerant scan: flush, then return the longest valid record prefix
-    /// plus whatever damage (if any) cut it short. A cleanly torn tail is
-    /// not damage — it is the end of the log.
-    pub fn read_prefix(&self) -> (Vec<(Lsn, LogRecord)>, Option<StorageError>) {
-        if let Err(e) = self.flush() {
-            return (Vec::new(), Some(e));
-        }
-        Self::read_store(self.store.as_ref())
-    }
-
     /// Tolerant scan of a segment store nobody has opened a [`Wal`] over
     /// yet — the recovery entry point. Returns the longest valid record
     /// prefix and the damage that ended it, if any. Use this *before*
@@ -678,40 +730,42 @@ impl Wal {
         from: Lsn,
     ) -> (Vec<(Lsn, LogRecord)>, Option<StorageError>) {
         let mut out = Vec::new();
-        let ids = match store.list() {
-            Ok(ids) => ids,
-            Err(e) => return (out, Some(e)),
-        };
-        for w in ids.windows(2) {
-            if w[1] != w[0] + 1 {
-                let e = StorageError::Corrupt(format!("wal segment gap: {} then {}", w[0], w[1]));
-                return (out, Some(e));
-            }
+        let (_, error) = scan_store(store, from, &mut |lsn, rec| {
+            out.push((lsn, rec));
+            true
+        });
+        (out, error)
+    }
+
+    /// The live tail reader: hand `visit` each durable record at or after
+    /// `from` (any LSN — a record's own, one just past it, or a segment
+    /// start), in log order, stopping at [`flushed_lsn`](Self::flushed_lsn)
+    /// or as soon as `visit` returns false. Reading starts at the page
+    /// holding `from`, and each record is decoded once; when `from` has
+    /// already reached the flushed LSN no page is touched. Returns the
+    /// position below which every record from `from` on has been visited
+    /// — the flushed LSN itself when the read got that far — or the damage
+    /// that ended the read, under the same checksum and torn-tail rules as
+    /// [`read_store_from`](Self::read_store_from).
+    pub fn read_flushed(
+        &self,
+        from: Lsn,
+        mut visit: impl FnMut(Lsn, LogRecord) -> bool,
+    ) -> StorageResult<Lsn> {
+        let until = self.flushed_lsn();
+        if from >= until {
+            return Ok(from);
         }
-        let last = match ids.last() {
-            Some(&last) => last,
-            None => return (out, None),
-        };
-        for &id in &ids {
-            if id < from.segment {
-                continue;
-            }
-            let disk = match store.open(id) {
-                Ok(d) => d,
-                Err(e) => return (out, Some(e)),
-            };
-            let scan = scan_segment(disk.as_ref(), id == last);
-            for (offset, rec) in scan.records {
-                let lsn = Lsn { segment: id, offset };
-                if lsn >= from {
-                    out.push((lsn, rec));
-                }
-            }
-            if scan.error.is_some() {
-                return (out, scan.error);
-            }
+        let mut bounded = false;
+        let (reached, error) = scan_store(self.store.as_ref(), from, &mut |lsn, rec| {
+            bounded = lsn >= until;
+            !bounded && visit(lsn, rec)
+        });
+        match error {
+            Some(e) => Err(e),
+            None if bounded => Ok(until),
+            None => Ok(reached.min(until)),
         }
-        (out, None)
     }
 }
 
@@ -1053,6 +1107,72 @@ mod tests {
         }
         let xids: Vec<u64> = w2.read_all().unwrap().iter().map(|(_, r)| r.xid()).collect();
         assert_eq!(xids, vec![1, 3, 3, 4, 4, 5, 5]);
+    }
+
+    #[test]
+    fn read_flushed_resumes_anywhere_and_stops_at_the_flushed_lsn() {
+        let store = mem_store();
+        let w = Wal::open_with_segment_pages(store.clone(), 2).unwrap();
+        // Mixed sizes: small records, page-spanning continuations, and
+        // rotation over several segments.
+        for xid in 1..=12u64 {
+            w.append(&insert(xid, vec![xid as u8; 700 * xid as usize])).unwrap();
+            w.append(&LogRecord::Commit { xid }).unwrap();
+        }
+        w.append(&LogRecord::Begin { xid: 13 }).unwrap(); // buffered, not durable
+        let all = Wal::read_store(store.as_ref() as &dyn SegmentStore).0;
+        assert!(w.segments().unwrap().len() > 2);
+        let mut probes: Vec<Lsn> = vec![Lsn::ZERO, w.flushed_lsn()];
+        for (lsn, _) in &all {
+            probes.push(*lsn);
+            probes.push(Lsn { segment: lsn.segment, offset: lsn.offset + 1 });
+            probes.push(Lsn { segment: lsn.segment, offset: 0 });
+        }
+        for from in probes {
+            let mut got = Vec::new();
+            let reached = w
+                .read_flushed(from, |lsn, rec| {
+                    got.push((lsn, rec));
+                    true
+                })
+                .unwrap();
+            assert_eq!(reached, from.max(w.flushed_lsn()), "resume from {from}");
+            let want: Vec<(Lsn, LogRecord)> =
+                all.iter().filter(|(lsn, _)| *lsn >= from).cloned().collect();
+            assert_eq!(got, want, "resume from {from}");
+        }
+        // Caught up: not a single page is read.
+        let reads = store.io_stats().reads;
+        assert_eq!(w.read_flushed(w.flushed_lsn(), |_, _| true).unwrap(), w.flushed_lsn());
+        assert_eq!(store.io_stats().reads, reads);
+    }
+
+    #[test]
+    fn read_flushed_reads_from_the_resume_page_on() {
+        let store = mem_store();
+        let w = Wal::open(store.clone() as Arc<dyn SegmentStore>).unwrap();
+        for xid in 1..=20u64 {
+            w.append(&insert(xid, vec![1; 2000])).unwrap();
+            w.append(&LogRecord::Commit { xid }).unwrap();
+        }
+        let from = w.flushed_lsn();
+        w.append(&LogRecord::Begin { xid: 21 }).unwrap();
+        w.append(&LogRecord::Commit { xid: 21 }).unwrap();
+        let reads = store.io_stats().reads;
+        let mut got = Vec::new();
+        let reached = w
+            .read_flushed(from, |_, rec| {
+                got.push(rec);
+                true
+            })
+            .unwrap();
+        assert_eq!(reached, w.flushed_lsn());
+        assert_eq!(got, vec![LogRecord::Begin { xid: 21 }, LogRecord::Commit { xid: 21 }]);
+        // Only the pages from the resume point to the flushed tail.
+        let pages = |lsn: Lsn| lsn.offset / PAGE_SIZE as u64;
+        let span = pages(w.flushed_lsn()) - pages(from) + 1;
+        assert!(span <= 2);
+        assert_eq!(store.io_stats().reads - reads, span);
     }
 
     #[test]

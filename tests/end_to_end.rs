@@ -4,8 +4,12 @@
 use staged_db::planner::PlannerConfig;
 use staged_db::server::types::ExecutionMode;
 use staged_db::server::{QueryOutput, ServerConfig, StagedServer, ThreadedServer};
-use staged_db::storage::{BufferPool, Catalog, MemDisk};
+use staged_db::storage::{
+    BufferPool, Catalog, Lsn, MemDisk, MemSegmentStore, MemSnapshotStore, SnapshotStore,
+    StorageResult,
+};
 use staged_db::workload::load_wisconsin_table;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn catalog() -> Arc<Catalog> {
@@ -310,5 +314,65 @@ fn idle_checkpoint_stage_trims_the_wal_automatically() {
     let count = server.execute_sql("SELECT COUNT(*) FROM auto_ck").unwrap();
     assert_eq!(count.rows[0].to_string(), "[400]");
     server.execute_sql("INSERT INTO auto_ck VALUES (400, 400)").unwrap();
+    server.shutdown();
+}
+
+/// A snapshot store that counts its saves.
+#[derive(Default)]
+struct CountingSnapshots {
+    inner: MemSnapshotStore,
+    saves: AtomicU64,
+}
+
+impl SnapshotStore for CountingSnapshots {
+    fn save(&self, bytes: &[u8]) -> StorageResult<()> {
+        self.saves.fetch_add(1, Ordering::SeqCst);
+        self.inner.save(bytes)
+    }
+
+    fn load(&self) -> StorageResult<Option<Vec<u8>>> {
+        self.inner.load()
+    }
+}
+
+#[test]
+fn a_floor_held_back_by_a_replica_does_not_loop_the_checkpoint_stage() {
+    // The idle hook triggers on log growth since the last checkpoint. A
+    // replica that never acks past LSN zero keeps every segment alive, so
+    // counting live segments would checkpoint back to back forever, each
+    // one rotating into another empty segment.
+    let snapshots = Arc::new(CountingSnapshots::default());
+    let server = StagedServer::with_stores(
+        Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 2048))),
+        ServerConfig {
+            partitions: 1,
+            wal_segment_pages: 1,
+            checkpoint_segments: Some(2),
+            ..Default::default()
+        },
+        None,
+        Arc::new(MemSegmentStore::new()),
+        Arc::clone(&snapshots) as Arc<dyn SnapshotStore>,
+    )
+    .unwrap();
+    server.execute_sql("CREATE TABLE pinned (id INT, v INT)").unwrap();
+    // The replica reads its feed (so it is never evicted) but never acks.
+    let (_id, rx) = server.replication_hub().subscribe(Lsn::ZERO).unwrap();
+    for i in 0..400 {
+        server.execute_sql(&format!("INSERT INTO pinned VALUES ({i}, {i})")).unwrap();
+        while rx.try_recv().is_ok() {}
+    }
+    assert!(server.wal().segments().unwrap().len() > 3, "the log outgrew the budget");
+    let busy = snapshots.saves.load(Ordering::SeqCst);
+    let idle_until = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    while std::time::Instant::now() < idle_until {
+        while rx.try_recv().is_ok() {}
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let total = snapshots.saves.load(Ordering::SeqCst);
+    assert!(total >= 1, "the log grew past the budget, so the stage checkpointed");
+    assert!(total - busy <= 2, "{} snapshots while idle ({busy} while busy)", total - busy);
+    assert_eq!(server.replication_hub().stats().connected, 1);
+    assert_eq!(server.wal().segments().unwrap()[0], 0, "the replica's floor held");
     server.shutdown();
 }

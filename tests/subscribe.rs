@@ -16,8 +16,8 @@ use staged_db::dbclient::Client;
 use staged_db::planner::PlannerConfig;
 use staged_db::server::net::{self, NetConfig, NetHandle};
 use staged_db::server::{ServerConfig, StagedServer, ThreadedServer};
-use staged_db::storage::{BufferPool, Catalog, MemDisk};
-use staged_db::wire::{Change, ChangeOp};
+use staged_db::storage::{BufferPool, Catalog, Lsn, MemDisk};
+use staged_db::wire::{parse_repl_frame, Change, ChangeOp, ReplFrame};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -218,6 +218,68 @@ fn stalled_subscriber_never_blocks_commits_and_is_evicted() {
     drop(stalled);
     writer.quit().unwrap();
     handle.shutdown();
+    server.shutdown();
+}
+
+/// A checkpoint keeps the history a lagging subscriber still needs: the
+/// truncation floor covers subscriber cursors, not only replica acks. The
+/// subscriber reads one change per two commits — never idle long enough to
+/// be struck out, ever further behind a replica that acks everything — a
+/// checkpoint runs once the commits have sealed several one-page segments,
+/// and the subscriber still receives every committed change exactly once,
+/// in commit order.
+#[test]
+fn checkpoint_keeps_the_history_a_lagging_subscriber_still_needs() {
+    let server = StagedServer::new(
+        fresh_catalog(),
+        ServerConfig {
+            partitions: 1,
+            wal_segment_pages: 1,
+            subscription_outbox: 4,
+            ..ServerConfig::default()
+        },
+    );
+    server.execute_sql("CREATE TABLE t (k INT, v INT)").unwrap();
+    let repl = server.replication_hub();
+    let (replica, replica_rx) = repl.subscribe(server.wal().next_lsn()).unwrap();
+    let (_sub, sub_rx) = server.reactivity_hub().subscribe("t", None).unwrap();
+    // The replica drains its feed and acks every watermark.
+    let replica_keeps_up = || {
+        while let Ok(line) = replica_rx.try_recv() {
+            if let ReplFrame::Eof { segment, offset } = parse_repl_frame(&line).unwrap() {
+                repl.ack(replica, Lsn { segment, offset });
+            }
+        }
+    };
+    let n = 600;
+    let mut got: Vec<String> = Vec::new();
+    for i in 0..n {
+        server.execute_sql(&format!("INSERT INTO t VALUES ({i}, {i})")).unwrap();
+        if i % 2 == 0 {
+            got.extend(sub_rx.try_recv().ok());
+        }
+        repl.pump();
+        replica_keeps_up();
+    }
+    for _ in 0..4 {
+        got.extend(sub_rx.try_recv().ok());
+        repl.pump();
+        replica_keeps_up();
+    }
+    assert!(got.len() < n / 2 + 10, "the subscriber is behind: {} of {n}", got.len());
+    assert_eq!(repl.stats().max_lag_records, 0, "the replica is caught up");
+    server.checkpoint().unwrap();
+    assert!(server.wal().segments().unwrap()[0] > 0, "the checkpoint truncated history");
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while got.len() < n && Instant::now() < deadline {
+        got.extend(std::iter::from_fn(|| sub_rx.try_recv().ok()));
+        repl.pump();
+    }
+    let want: Vec<String> = (0..n).map(|i| format!("CHANGE t INSERT\t{i}\t{i}")).collect();
+    assert_eq!(got.len(), n, "every committed change arrives exactly once");
+    assert_eq!(got, want, "in commit order");
+    assert_eq!(server.reactivity_hub().stats().evicted, 0);
     server.shutdown();
 }
 
