@@ -105,10 +105,8 @@ pub fn matching_rids(
     let mut out = Vec::new();
     match &plan {
         PhysicalPlan::IndexScan { index, lo, hi, predicate: residual, .. } => {
-            let pruned = table.pruned_partition(index.column, *lo, *hi);
-            for (_, rid) in index.range_in(pruned, *lo, *hi)? {
+            for (rid, t) in table.index_probe(index, *lo, *hi, None)? {
                 ctx.note_page_ref();
-                let t = table.heap.get(rid)?;
                 if match residual {
                     Some(p) => eval_predicate(p, &t)?,
                     None => true,

@@ -13,7 +13,7 @@ use crate::volcano::sort_tuples;
 use staged_planner::{AggSpec, PhysicalPlan};
 use staged_sql::ast::Expr;
 use staged_storage::catalog::{IndexInfo, TableInfo};
-use staged_storage::{Rid, StorageResult, Tuple, Value};
+use staged_storage::{ReadView, Rid, StorageResult, Tuple, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicI64;
 use std::sync::Arc;
@@ -269,7 +269,7 @@ fn build(
                 })
             });
         }
-        PhysicalPlan::IndexScan { table, index, lo, hi, predicate, .. } => {
+        PhysicalPlan::IndexScan { table, index, lo, hi, predicate, snapshot } => {
             let mut ts = Vec::new();
             if let Some(p) = predicate {
                 ts.push(Transform::filter(p.clone()));
@@ -281,8 +281,8 @@ fn build(
                 index: Arc::clone(index),
                 lo: *lo,
                 hi: *hi,
-                rids: None,
-                pos: 0,
+                snapshot: *snapshot,
+                rows: None,
                 transforms: ts,
                 emitter: Emitter::new(out, parent, engine.page_handle()),
             };
@@ -584,26 +584,23 @@ pub(super) struct IndexScanTask {
     pub index: Arc<IndexInfo>,
     pub lo: Option<i64>,
     pub hi: Option<i64>,
-    pub rids: Option<Vec<staged_storage::Rid>>,
-    pub pos: usize,
+    pub snapshot: Option<ReadView>,
+    pub rows: Option<std::vec::IntoIter<(Rid, Tuple)>>,
     pub transforms: Vec<Transform>,
     pub emitter: Emitter,
 }
 
 impl OperatorTask for IndexScanTask {
     fn step(&mut self, quota: usize) -> EngineResult<StepResult> {
-        if self.rids.is_none() {
-            // A probe pinning the hash-key column only needs that
-            // partition's tree.
-            let pruned = self.table.pruned_partition(self.index.column, self.lo, self.hi);
-            let pairs = self.index.range_in(pruned, self.lo, self.hi)?;
+        if self.rows.is_none() {
+            let rows = self.table.index_probe(&self.index, self.lo, self.hi, self.snapshot)?;
             self.ctx.note_page_ref();
-            self.rids = Some(pairs.into_iter().map(|(_, r)| r).collect());
+            self.rows = Some(rows.into_iter());
         }
-        let rids = self.rids.as_ref().expect("materialized above");
+        let rows = self.rows.as_mut().expect("materialized above");
         let mut produced = 0usize;
         while produced < quota {
-            if self.pos >= rids.len() {
+            if rows.as_slice().is_empty() {
                 return if self.emitter.finish() {
                     Ok(StepResult::Done)
                 } else {
@@ -613,14 +610,12 @@ impl OperatorTask for IndexScanTask {
             if !self.emitter.ready() {
                 return Ok(if produced > 0 { StepResult::Working } else { StepResult::Blocked });
             }
-            // Look up one exchange page worth of rids per readiness check.
-            let n = (rids.len() - self.pos).min(quota - produced).min(self.emitter.page_cap());
-            let mut page = Vec::with_capacity(n);
-            for rid in &rids[self.pos..self.pos + n] {
-                page.push(self.table.heap.get(*rid)?);
+            // Emit one exchange page worth of rows per readiness check.
+            let n = rows.len().min(quota - produced).min(self.emitter.page_cap());
+            let page: Vec<Tuple> = rows.by_ref().take(n).map(|(_, t)| t).collect();
+            for _ in 0..n {
                 self.ctx.note_page_ref();
             }
-            self.pos += n;
             produced += n;
             emit_batch_transformed(&mut self.emitter, &self.transforms, page)?;
         }

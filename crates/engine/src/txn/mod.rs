@@ -102,7 +102,12 @@ impl TxnManager {
     pub fn begin(&self, wal: &Wal) -> EngineResult<u64> {
         let xid = self.next_xid.fetch_add(1, Ordering::Relaxed);
         self.active.lock().insert(xid, TxnState::default());
-        wal.append(&LogRecord::Begin { xid })?;
+        if let Err(e) = wal.append(&LogRecord::Begin { xid }) {
+            // Never begun: a stale entry would hold the checkpoint's
+            // quiesce and the GC horizon back forever.
+            self.active.lock().remove(&xid);
+            return Err(e.into());
+        }
         Ok(xid)
     }
 

@@ -12,7 +12,6 @@ use crate::error::{EngineError, EngineResult};
 use crate::expr::{eval, eval_predicate};
 use staged_planner::{AggSpec, PhysicalPlan};
 use staged_sql::ast::Expr;
-use staged_storage::catalog::{IndexInfo, TableInfo};
 use staged_storage::{Rid, StorageResult, Tuple, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -59,14 +58,11 @@ pub fn build(plan: &PhysicalPlan, ctx: &ExecContext) -> EngineResult<Box<dyn Exe
                 pos: 0,
             })
         }
-        PhysicalPlan::IndexScan { table, index, lo, hi, predicate, .. } => {
+        PhysicalPlan::IndexScan { table, index, lo, hi, predicate, snapshot } => {
             ctx.note_module_entry(4096);
             Box::new(IndexScanExec::new(
                 ctx.clone(),
-                Arc::clone(table),
-                Arc::clone(index),
-                *lo,
-                *hi,
+                table.index_probe(index, *lo, *hi, *snapshot),
                 predicate.clone(),
             ))
         }
@@ -220,31 +216,25 @@ impl Executor for MergeAggExec {
 
 struct IndexScanExec {
     ctx: ExecContext,
-    table: Arc<TableInfo>,
-    rids: Vec<staged_storage::Rid>,
-    pos: usize,
+    rows: std::vec::IntoIter<(Rid, Tuple)>,
     predicate: Option<Expr>,
     err: Option<EngineError>,
 }
 
 impl IndexScanExec {
+    /// Wrap the result of [`staged_storage::catalog::TableInfo::index_probe`]; a probe error is
+    /// reported by the first `next`.
     fn new(
         ctx: ExecContext,
-        table: Arc<TableInfo>,
-        index: Arc<IndexInfo>,
-        lo: Option<i64>,
-        hi: Option<i64>,
+        probe: StorageResult<Vec<(Rid, Tuple)>>,
         predicate: Option<Expr>,
     ) -> Self {
-        // A probe pinning the hash-key column only needs that partition's
-        // tree.
-        let pruned = table.pruned_partition(index.column, lo, hi);
-        let (rids, err) = match index.range_in(pruned, lo, hi) {
-            Ok(pairs) => (pairs.into_iter().map(|(_, r)| r).collect(), None),
+        ctx.note_page_ref(); // index traversal touches shared index pages
+        let (rows, err) = match probe {
+            Ok(rows) => (rows, None),
             Err(e) => (Vec::new(), Some(EngineError::Storage(e))),
         };
-        ctx.note_page_ref(); // index traversal touches shared index pages
-        Self { ctx, table, rids, pos: 0, predicate, err }
+        Self { ctx, rows: rows.into_iter(), predicate, err }
     }
 }
 
@@ -253,11 +243,8 @@ impl Executor for IndexScanExec {
         if let Some(e) = self.err.take() {
             return Err(e);
         }
-        while self.pos < self.rids.len() {
-            let rid = self.rids[self.pos];
-            self.pos += 1;
+        for (_, tuple) in self.rows.by_ref() {
             self.ctx.note_page_ref();
-            let tuple = self.table.heap.get(rid)?;
             match &self.predicate {
                 Some(p) if !eval_predicate(p, &tuple)? => continue,
                 _ => return Ok(Some(tuple)),

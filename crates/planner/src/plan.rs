@@ -4,8 +4,7 @@
 //! layout (column indexes filled by the binder or by the planner's
 //! rewrites), so executors never resolve names.
 
-use staged_sql::ast::{AggFunc, BinOp, ColumnRef, Expr};
-use staged_sql::rewrite::join_conjuncts;
+use staged_sql::ast::{AggFunc, ColumnRef, Expr};
 use staged_storage::catalog::{IndexInfo, TableInfo};
 use staged_storage::{ReadView, Schema};
 use std::fmt;
@@ -77,10 +76,10 @@ pub enum PhysicalPlan {
         hi: Option<i64>,
         /// Residual predicate evaluated per fetched tuple.
         predicate: Option<Expr>,
-        /// MVCC read view; `None` = current (locked) read. Index scans
-        /// never execute under a snapshot — [`PhysicalPlan::attach_snapshot`]
-        /// rewrites them to sequential scans — but the field keeps the
-        /// variant shape uniform for pattern matches.
+        /// MVCC read view; `None` = current (locked) read. Under a view the
+        /// probe keeps the fetched rows the view can see and unions in the
+        /// dead versions in the key range it still sees (see
+        /// `TableInfo::index_probe`).
         snapshot: Option<ReadView>,
     },
     /// Filter.
@@ -187,34 +186,15 @@ impl PhysicalPlan {
     }
 
     /// Attach an MVCC read view to every table access in the plan, making
-    /// it a snapshot read (executed without locks; visibility filtered per
-    /// page against each table's version overlay).
-    ///
-    /// Index scans are rewritten to sequential scans first: a B+tree probe
-    /// resolves keys to rids without consulting the version overlay, so it
-    /// would miss deleted-but-still-visible rows and surface uncommitted
-    /// inserts. The key bounds fold back into the scan predicate, so the
-    /// rewrite changes the access path, never the result.
+    /// it a snapshot read (executed without locks; visibility filtered
+    /// against each table's version overlay). The access paths stay as
+    /// planned: a scan filters each page it reads, an index scan filters
+    /// the rows its probe fetches.
     pub fn attach_snapshot(&mut self, view: ReadView) {
         match self {
             PhysicalPlan::SeqScan { snapshot, .. }
-            | PhysicalPlan::PartitionScan { snapshot, .. } => *snapshot = Some(view),
-            PhysicalPlan::IndexScan { table, index, lo, hi, predicate, .. } => {
-                let key = || col_at(index.column);
-                let mut conjuncts = Vec::new();
-                if let Some(a) = lo {
-                    conjuncts.push(Expr::binary(key(), BinOp::GtEq, Expr::int(*a)));
-                }
-                if let Some(b) = hi {
-                    conjuncts.push(Expr::binary(key(), BinOp::LtEq, Expr::int(*b)));
-                }
-                conjuncts.extend(predicate.take());
-                *self = PhysicalPlan::SeqScan {
-                    table: Arc::clone(table),
-                    predicate: join_conjuncts(conjuncts),
-                    snapshot: Some(view),
-                };
-            }
+            | PhysicalPlan::PartitionScan { snapshot, .. }
+            | PhysicalPlan::IndexScan { snapshot, .. } => *snapshot = Some(view),
             PhysicalPlan::Exchange { inputs } | PhysicalPlan::MergeAggregate { inputs, .. } => {
                 for i in inputs {
                     i.attach_snapshot(view);
@@ -275,14 +255,14 @@ impl PhysicalPlan {
     fn fmt_indented(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
         let pad = "  ".repeat(depth);
         match self {
-            PhysicalPlan::SeqScan { table, predicate, .. } => {
+            PhysicalPlan::SeqScan { table, predicate, snapshot } => {
                 write!(f, "{pad}SeqScan {}", table.name)?;
                 if let Some(p) = predicate {
                     write!(f, " filter={p}")?;
                 }
-                writeln!(f)
+                writeln!(f, "{}", snapshot_mark(snapshot))
             }
-            PhysicalPlan::PartitionScan { table, partition, predicate, .. } => {
+            PhysicalPlan::PartitionScan { table, partition, predicate, snapshot } => {
                 write!(
                     f,
                     "{pad}PartitionScan {}[{}/{}]",
@@ -293,7 +273,7 @@ impl PhysicalPlan {
                 if let Some(p) = predicate {
                     write!(f, " filter={p}")?;
                 }
-                writeln!(f)
+                writeln!(f, "{}", snapshot_mark(snapshot))
             }
             PhysicalPlan::Exchange { inputs } => {
                 writeln!(f, "{pad}Exchange x{}", inputs.len())?;
@@ -319,7 +299,7 @@ impl PhysicalPlan {
                 }
                 Ok(())
             }
-            PhysicalPlan::IndexScan { table, index, lo, hi, predicate, .. } => {
+            PhysicalPlan::IndexScan { table, index, lo, hi, predicate, snapshot } => {
                 write!(f, "{pad}IndexScan {} via {} ", table.name, index.name)?;
                 match (lo, hi) {
                     (Some(a), Some(b)) if a == b => write!(f, "key={a}")?,
@@ -333,7 +313,7 @@ impl PhysicalPlan {
                 if let Some(p) = predicate {
                     write!(f, " filter={p}")?;
                 }
-                writeln!(f)
+                writeln!(f, "{}", snapshot_mark(snapshot))
             }
             PhysicalPlan::Filter { input, predicate } => {
                 writeln!(f, "{pad}Filter {predicate}")?;
@@ -428,6 +408,17 @@ impl PhysicalPlan {
                 input.fmt_indented(f, depth + 1)
             }
         }
+    }
+}
+
+/// The EXPLAIN suffix of a table access running under a read view. The
+/// timestamp is left out so the text of a plan does not depend on when it
+/// was rendered.
+fn snapshot_mark(snapshot: &Option<ReadView>) -> &'static str {
+    if snapshot.is_some() {
+        " snapshot"
+    } else {
+        ""
     }
 }
 

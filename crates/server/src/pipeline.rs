@@ -39,8 +39,10 @@ pub enum PlannedAction {
     },
     /// Return a plan as text.
     Explain {
-        /// Rendered plan.
-        text: String,
+        /// The SELECT's physical plan, rendered at execution so the text
+        /// shows the plan as it runs, read view attached; `None` for
+        /// statements that bypass the optimizer.
+        plan: Option<PhysicalPlan>,
     },
     /// Insert pre-evaluated rows.
     Insert {
@@ -122,9 +124,9 @@ pub fn bind_statement(
                 bound.stmt.limit = Some(EXPLAIN_LIMIT);
                 Ok(Parsed::NeedsPlan(bound))
             }
-            Parsed::Action(_) => Ok(Parsed::Action(Box::new(PlannedAction::Explain {
-                text: "non-SELECT statements execute directly".into(),
-            }))),
+            Parsed::Action(_) => {
+                Ok(Parsed::Action(Box::new(PlannedAction::Explain { plan: None })))
+            }
         },
         Statement::Insert { table, columns, rows } => {
             let info = catalog.table(&table).map_err(|e| ServerError::Sql(e.to_string()))?;
@@ -287,14 +289,18 @@ pub fn writes(action: &PlannedAction) -> bool {
 ///
 /// Returns the pin guard for fresh pins; the caller must hold it across
 /// execution so the vacuum horizon cannot pass the view (a `ReadOnly`
-/// binding already holds its own pin, so none is returned). Non-SELECT
-/// actions are untouched.
+/// binding already holds its own pin, so none is returned). An `EXPLAIN`
+/// of a SELECT gets the same view, so it renders the plan that would run.
+/// Other actions are untouched.
 pub fn snapshot_select(
     action: &mut PlannedAction,
     txn: &TxnRuntime,
     stmt: &StatementCtx,
 ) -> Option<SnapshotGuard> {
-    let PlannedAction::Select { plan, .. } = action else { return None };
+    let (PlannedAction::Select { plan, .. } | PlannedAction::Explain { plan: Some(plan) }) = action
+    else {
+        return None;
+    };
     match stmt {
         StatementCtx::ReadOnly(ts) => {
             plan.attach_snapshot(ReadView { ts: *ts, xid: 0 });
@@ -349,7 +355,7 @@ pub fn optimize_stage(
     let plan =
         plan_select(&bound_clone, catalog, config).map_err(|e| ServerError::Sql(e.to_string()))?;
     if is_explain {
-        Ok(PlannedAction::Explain { text: plan.to_string() })
+        Ok(PlannedAction::Explain { plan: Some(plan) })
     } else {
         Ok(PlannedAction::Select { plan, schema: bound.output.clone() })
     }
@@ -387,8 +393,12 @@ pub fn execute_stage(
             let n = rows.len();
             Ok(QueryOutput { rows, schema: Some(schema), message: format!("SELECT {n}") })
         }
-        PlannedAction::Explain { text } => Ok(QueryOutput {
-            rows: text.lines().map(|l| Tuple::new(vec![Value::Str(l.to_string())])).collect(),
+        PlannedAction::Explain { plan } => Ok(QueryOutput {
+            rows: plan
+                .map_or_else(|| "non-SELECT statements execute directly".into(), |p| p.to_string())
+                .lines()
+                .map(|l| Tuple::new(vec![Value::Str(l.to_string())]))
+                .collect(),
             schema: Some(Schema::new(vec![staged_storage::Column::new("plan", DataType::Str)])),
             message: "EXPLAIN".into(),
         }),

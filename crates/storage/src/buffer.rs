@@ -6,12 +6,17 @@
 //! pool's mapping lock so that concurrent misses overlap on a latency-
 //! simulating disk (this is what lets Workload A's I/O overlap once the
 //! thread pool is large enough, §3.1.1).
+//!
+//! A page whose newest bytes are only in memory is never re-read from
+//! disk: an evicted dirty page stays known to the pool until its
+//! write-back finishes (a fetch of it waits), and [`BufferPool::flush_all`]
+//! keeps each frame pinned while its write is in flight.
 
 use crate::disk::DiskManager;
 use crate::error::{StorageError, StorageResult};
 use crate::page::{PageId, PAGE_SIZE};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -24,6 +29,9 @@ pub struct PoolStats {
     pub misses: u64,
     /// Dirty pages written back during eviction.
     pub evictions: u64,
+    /// Fetches that waited for the eviction write-back of the page they
+    /// asked for, rather than read its stale disk copy.
+    pub writeback_waits: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,16 +52,23 @@ struct PoolInner {
     page_table: HashMap<PageId, usize>,
     meta: Vec<FrameMeta>,
     clock: usize,
+    /// Evicted dirty pages whose write-back has not finished. They are
+    /// unmapped but not yet on disk, so a fetch of one waits.
+    writing_back: HashSet<PageId>,
 }
 
 /// The buffer pool.
 pub struct BufferPool {
     disk: Arc<dyn DiskManager>,
-    frames: Vec<RwLock<Box<[u8; PAGE_SIZE]>>>,
+    /// Frame buffers, each allocated by the first page installed in it: a
+    /// pool sized for the worst case costs memory only for the frames its
+    /// workload reaches.
+    frames: Vec<RwLock<Vec<u8>>>,
     inner: Mutex<PoolInner>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    writeback_waits: AtomicU64,
 }
 
 impl BufferPool {
@@ -62,15 +77,17 @@ impl BufferPool {
         let capacity = capacity.max(1);
         Arc::new(Self {
             disk,
-            frames: (0..capacity).map(|_| RwLock::new(Box::new([0u8; PAGE_SIZE]))).collect(),
+            frames: (0..capacity).map(|_| RwLock::new(Vec::new())).collect(),
             inner: Mutex::new(PoolInner {
                 page_table: HashMap::with_capacity(capacity),
                 meta: vec![FrameMeta::EMPTY; capacity],
                 clock: 0,
+                writing_back: HashSet::new(),
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            writeback_waits: AtomicU64::new(0),
         })
     }
 
@@ -90,6 +107,7 @@ impl BufferPool {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            writeback_waits: self.writeback_waits.load(Ordering::Relaxed),
         }
     }
 
@@ -109,6 +127,7 @@ impl BufferPool {
 
     /// Map `page` to a pinned frame; `read_from_disk` controls miss filling.
     fn install(&self, page: PageId, read_from_disk: bool) -> StorageResult<usize> {
+        let mut waited = false;
         loop {
             let victim = {
                 let mut inner = self.inner.lock();
@@ -124,6 +143,17 @@ impl BufferPool {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(f);
                 }
+                if inner.writing_back.contains(&page) {
+                    // The page's latest bytes are on their way to disk; a
+                    // read now would return the stale copy.
+                    drop(inner);
+                    if !waited {
+                        waited = true;
+                        self.writeback_waits.fetch_add(1, Ordering::Relaxed);
+                    }
+                    std::thread::yield_now();
+                    continue;
+                }
                 // Miss: pick a victim with the clock.
                 let f = self.find_victim(&mut inner)?;
                 let old = inner.meta[f];
@@ -136,17 +166,23 @@ impl BufferPool {
                 };
                 if let Some(old_page) = old.page {
                     inner.page_table.remove(&old_page);
+                    if old.dirty {
+                        inner.writing_back.insert(old_page);
+                    }
                 }
                 inner.page_table.insert(page, f);
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 (f, old)
             };
             let (f, old) = victim;
+            let evicted = old.page.filter(|_| old.dirty);
             // I/O outside the mapping lock.
             let io_result = (|| -> StorageResult<()> {
                 let mut data = self.frames[f].write();
-                if old.dirty {
-                    let old_page = old.page.expect("dirty frame must hold a page");
+                if data.is_empty() {
+                    data.resize(PAGE_SIZE, 0);
+                }
+                if let Some(old_page) = evicted {
                     self.disk.write_page(old_page, &data[..])?;
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
@@ -158,6 +194,9 @@ impl BufferPool {
                 Ok(())
             })();
             let mut inner = self.inner.lock();
+            if let Some(old_page) = evicted {
+                inner.writing_back.remove(&old_page);
+            }
             match io_result {
                 Ok(()) => {
                     inner.meta[f].io_pending = false;
@@ -193,6 +232,10 @@ impl BufferPool {
     }
 
     /// Write every dirty frame back to disk (checkpoint).
+    ///
+    /// Each frame stays pinned while its write is in flight: a frame that
+    /// reads clean but is not yet on disk must not be evicted, or the next
+    /// fetch of its page would read the stale disk copy.
     pub fn flush_all(&self) -> StorageResult<()> {
         for f in 0..self.frames.len() {
             let page = {
@@ -201,14 +244,24 @@ impl BufferPool {
                 match (m.page, m.dirty, m.io_pending) {
                     (Some(p), true, false) => {
                         m.dirty = false;
+                        m.pin += 1;
                         Some(p)
                     }
                     _ => None,
                 }
             };
             if let Some(p) = page {
-                let data = self.frames[f].read();
-                self.disk.write_page(p, &data[..])?;
+                let written = {
+                    let data = self.frames[f].read();
+                    self.disk.write_page(p, &data[..])
+                };
+                let mut inner = self.inner.lock();
+                let m = &mut inner.meta[f];
+                m.pin -= 1;
+                if written.is_err() {
+                    m.dirty = true;
+                }
+                written?;
             }
         }
         Ok(())
@@ -357,6 +410,138 @@ mod tests {
         drop(g1);
         drop(g2);
         assert_eq!(p.pin_count(id), Some(0));
+    }
+
+    /// A disk whose first write of one chosen page stops at a barrier: it
+    /// meets the test at `entered`, then holds until the test meets it at
+    /// `release`. Reads of that page are counted.
+    struct GatedDisk {
+        inner: MemDisk,
+        gated: Mutex<Option<PageId>>,
+        gated_reads: AtomicU64,
+        entered: std::sync::Barrier,
+        release: std::sync::Barrier,
+    }
+
+    impl GatedDisk {
+        fn new() -> Arc<Self> {
+            Arc::new(Self {
+                inner: MemDisk::new(),
+                gated: Mutex::new(None),
+                gated_reads: AtomicU64::new(0),
+                entered: std::sync::Barrier::new(2),
+                release: std::sync::Barrier::new(2),
+            })
+        }
+
+        fn gate(&self, page: PageId) {
+            *self.gated.lock() = Some(page);
+        }
+    }
+
+    impl DiskManager for GatedDisk {
+        fn allocate(&self) -> StorageResult<PageId> {
+            self.inner.allocate()
+        }
+
+        fn read_page(&self, page: PageId, buf: &mut [u8]) -> StorageResult<()> {
+            if *self.gated.lock() == Some(page) {
+                self.gated_reads.fetch_add(1, Ordering::SeqCst);
+            }
+            self.inner.read_page(page, buf)
+        }
+
+        fn write_page(&self, page: PageId, buf: &[u8]) -> StorageResult<()> {
+            if *self.gated.lock() == Some(page) {
+                self.entered.wait();
+                self.release.wait();
+                *self.gated.lock() = None;
+            }
+            self.inner.write_page(page, buf)
+        }
+
+        fn num_pages(&self) -> u64 {
+            self.inner.num_pages()
+        }
+
+        fn sync(&self) -> StorageResult<()> {
+            self.inner.sync()
+        }
+
+        fn stats(&self) -> crate::disk::IoStats {
+            self.inner.stats()
+        }
+    }
+
+    /// A dirty, unpinned page holding 42 in its first byte.
+    fn dirty_page(p: &Arc<BufferPool>) -> PageId {
+        let g = p.new_page().unwrap();
+        g.write(|d| d[0] = 42);
+        g.page_id()
+    }
+
+    #[test]
+    fn fetch_during_eviction_write_back_waits_for_it() {
+        let disk = GatedDisk::new();
+        let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskManager>, 2);
+        let y = dirty_page(&p);
+        // Pin the other frame so the next miss must evict `y`.
+        let other = p.new_page().unwrap();
+        disk.gate(y);
+        let x = disk.allocate().unwrap();
+        let evictor = {
+            let p = Arc::clone(&p);
+            std::thread::spawn(move || p.fetch(x).map(|_| ()))
+        };
+        // `y` is unmapped and its write-back is in flight.
+        disk.entered.wait();
+        drop(other);
+        let reader = {
+            let p = Arc::clone(&p);
+            std::thread::spawn(move || p.fetch(y).map(|g| g.read(|d| d[0])))
+        };
+        // Let the write-back finish only once the reader has either read
+        // `y` from disk or is waiting for the write-back.
+        while disk.gated_reads.load(Ordering::SeqCst) == 0 && p.stats().writeback_waits == 0 {
+            std::thread::yield_now();
+        }
+        disk.release.wait();
+        assert_eq!(reader.join().unwrap().unwrap(), 42, "fetch read the stale disk copy");
+        evictor.join().unwrap().unwrap();
+        assert_eq!(p.stats().writeback_waits, 1);
+    }
+
+    #[test]
+    fn flush_all_keeps_a_page_in_flight_resident() {
+        let disk = GatedDisk::new();
+        let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskManager>, 2);
+        let y = dirty_page(&p);
+        let other = p.new_page().unwrap();
+        disk.gate(y);
+        let flusher = {
+            let p = Arc::clone(&p);
+            std::thread::spawn(move || p.flush_all())
+        };
+        // `y` reads clean now, but its bytes are not on disk yet. With the
+        // other frame pinned, a miss may only take `y`'s frame.
+        disk.entered.wait();
+        let misses = p.stats().misses;
+        let x = disk.allocate().unwrap();
+        let evictor = {
+            let p = Arc::clone(&p);
+            std::thread::spawn(move || p.fetch(x).map(|_| ()))
+        };
+        while !evictor.is_finished() && p.stats().misses == misses {
+            std::thread::yield_now();
+        }
+        drop(other);
+        let seen = p.fetch(y).unwrap().read(|d| d[0]);
+        disk.release.wait();
+        flusher.join().unwrap().unwrap();
+        assert_eq!(seen, 42, "a page evicted mid-flush was re-read stale");
+        assert_eq!(disk.gated_reads.load(Ordering::SeqCst), 0);
+        // Every frame was pinned when the evictor asked for one.
+        assert!(matches!(evictor.join().unwrap(), Err(StorageError::PoolExhausted)));
     }
 
     #[test]

@@ -8,11 +8,11 @@
 use crate::btree::BTree;
 use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
-use crate::mvcc::{CommitOracle, VersionStore};
+use crate::mvcc::{key_in_range, CommitOracle, ReadView, VersionStore};
 use crate::partition::PartitionedHeap;
 use crate::schema::Schema;
 use crate::stats::{analyze, TableStats};
-use crate::tuple::Rid;
+use crate::tuple::{Rid, Tuple};
 use crate::value::DataType;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -74,6 +74,39 @@ impl TableInfo {
             }
             _ => None,
         }
+    }
+
+    /// Probe `index` for keys in `[lo, hi]` and fetch the matching rows —
+    /// the one access path behind every index scan, locked or snapshot.
+    ///
+    /// The probe reads only the partition tree the bounds pin (see
+    /// [`Self::pruned_partition`]), or every tree otherwise. A fetched rid
+    /// whose slot has been deleted since the probe is absent, and a fetched
+    /// row is kept only if its key still lies in the bounds. Under a
+    /// `snapshot`, the fetched rows then go through
+    /// [`VersionStore::filter_probe`], which keeps the ones the view can
+    /// see and unions in the dead versions it still sees, so the result is
+    /// the same bag a snapshot scan filtered on the key bounds returns.
+    pub fn index_probe(
+        &self,
+        index: &IndexInfo,
+        lo: Option<i64>,
+        hi: Option<i64>,
+        snapshot: Option<ReadView>,
+    ) -> StorageResult<Vec<(Rid, Tuple)>> {
+        let pruned = self.pruned_partition(index.column, lo, hi);
+        let mut rows = Vec::new();
+        for (_, rid) in index.range_in(pruned, lo, hi)? {
+            if let Some(t) = self.heap.try_get(rid)? {
+                if t.get(index.column).as_int().is_some_and(|k| key_in_range(k, lo, hi)) {
+                    rows.push((rid, t));
+                }
+            }
+        }
+        if let Some(view) = snapshot {
+            self.versions.filter_probe(view, index.column, lo, hi, &mut rows)?;
+        }
+        Ok(rows)
     }
 }
 

@@ -33,6 +33,10 @@ pub enum StorageError {
     AlreadyExists(String),
     /// Tuple does not match the table schema.
     SchemaMismatch(String),
+    /// An earlier write or sync of the write-ahead log failed, so the log
+    /// refuses every later append and flush until the process restarts
+    /// and recovers from what is durable.
+    WalFailed,
 }
 
 impl fmt::Display for StorageError {
@@ -50,6 +54,9 @@ impl fmt::Display for StorageError {
             StorageError::NotFound(n) => write!(f, "not found: {n}"),
             StorageError::AlreadyExists(n) => write!(f, "already exists: {n}"),
             StorageError::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
+            StorageError::WalFailed => {
+                write!(f, "write-ahead log failed; writes refused until restart and recovery")
+            }
         }
     }
 }

@@ -92,6 +92,16 @@ impl HeapFile {
         page.read(|d| SlottedPage::get(d, rid.page, rid.slot).and_then(Tuple::decode))
     }
 
+    /// Read the tuple at `rid`, or `None` when its slot has been deleted
+    /// (an index entry racing a concurrent delete points at such a slot).
+    pub fn try_get(&self, rid: Rid) -> StorageResult<Option<Tuple>> {
+        match self.get(rid) {
+            Ok(t) => Ok(Some(t)),
+            Err(StorageError::InvalidSlot { .. }) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
     /// Delete the tuple at `rid` (idempotent errors on bad slots).
     pub fn delete(&self, rid: Rid) -> StorageResult<()> {
         let page = self.pool.fetch(rid.page)?;

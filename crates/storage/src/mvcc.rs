@@ -182,6 +182,11 @@ fn end_hides(end: End, view: ReadView) -> bool {
     }
 }
 
+/// Does `key` lie in the inclusive bounds `[lo, hi]` (`None` = unbounded)?
+pub(crate) fn key_in_range(key: i64, lo: Option<i64>, hi: Option<i64>) -> bool {
+    lo.is_none_or(|l| key >= l) && hi.is_none_or(|h| key <= h)
+}
+
 impl VersionStore {
     /// An empty overlay.
     pub fn new() -> Arc<Self> {
@@ -336,6 +341,54 @@ impl VersionStore {
             }
             if merged {
                 rows.sort_by_key(|(rid, _)| rid.slot);
+            }
+        }
+        Ok(())
+    }
+
+    /// Filter an index probe's fetched rows for `view` and union in the
+    /// dead versions its key range covers: the index-probe counterpart of
+    /// [`filter_page`](Self::filter_page), under the same visibility rules.
+    ///
+    /// `rows` holds the live rows the probe fetched, each already checked
+    /// to carry a `key_col` value in `[lo, hi]`. On return it holds the
+    /// live rows `view` can see, followed by every dead version `view` can
+    /// see whose key lies in `[lo, hi]` and whose rid is not among those
+    /// live rows. A dead version is decoded in full only once its key
+    /// qualifies.
+    ///
+    /// MUST be called only after the live fetch. DML registers a dead
+    /// version before it deletes the heap row and before it drops the
+    /// index entry, so a row the fetch missed is already in the dead set
+    /// by now: a row being updated or deleted is found live or dead,
+    /// never neither.
+    pub fn filter_probe(
+        &self,
+        view: ReadView,
+        key_col: usize,
+        lo: Option<i64>,
+        hi: Option<i64>,
+        rows: &mut Vec<(Rid, Tuple)>,
+    ) -> StorageResult<()> {
+        if self.entries.load(Ordering::Acquire) == 0 {
+            return Ok(());
+        }
+        let inner = self.inner.lock();
+        rows.retain(|(rid, _)| begin_visible(inner.created.get(rid), view));
+        if inner.dead_count == 0 {
+            return Ok(());
+        }
+        let live: HashSet<Rid> = rows.iter().map(|(rid, _)| *rid).collect();
+        for dv in inner.dead.values().flatten() {
+            if !begin_visible(dv.begin.as_ref(), view)
+                || end_hides(dv.end, view)
+                || live.contains(&dv.rid)
+            {
+                continue;
+            }
+            let key = Tuple::decode_columns(&dv.bytes, &[key_col])?;
+            if key.get(0).as_int().is_some_and(|k| key_in_range(k, lo, hi)) {
+                rows.push((dv.rid, Tuple::decode(&dv.bytes)?));
             }
         }
         Ok(())

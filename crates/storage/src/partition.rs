@@ -103,6 +103,11 @@ impl PartitionedHeap {
         self.parts[0].get(rid)
     }
 
+    /// [`Self::get`], with a deleted slot read as `None`.
+    pub fn try_get(&self, rid: Rid) -> StorageResult<Option<Tuple>> {
+        self.parts[0].try_get(rid)
+    }
+
     /// Delete the tuple at `rid`.
     pub fn delete(&self, rid: Rid) -> StorageResult<()> {
         self.parts[0].delete(rid)

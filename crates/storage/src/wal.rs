@@ -297,9 +297,29 @@ struct WalInner {
     flushed: Lsn,
     /// Un-synced bytes exist (tail content or closed-but-unsynced pages).
     dirty: bool,
+    /// A write or sync failed. What reached the disk is unknown, and the
+    /// tail buffer may still hold a record whose append was reported as
+    /// failed, so nothing more may be written: a later flush would make
+    /// that record durable.
+    failed: bool,
 }
 
 impl WalInner {
+    /// Refuse every operation once the log has failed.
+    fn check(&self) -> StorageResult<()> {
+        if self.failed {
+            Err(StorageError::WalFailed)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Pass `result` through, marking the log failed if it is an error.
+    fn poison_on_err<T>(&mut self, result: StorageResult<T>) -> StorageResult<T> {
+        self.failed |= result.is_err();
+        result
+    }
+
     fn tail_offset(&self) -> u64 {
         self.page_idx * PAGE_SIZE as u64 + self.used as u64
     }
@@ -328,13 +348,16 @@ impl WalInner {
     /// Make everything appended so far durable: write the tail page if it
     /// holds payload, then issue the sync barrier.
     fn flush(&mut self) -> StorageResult<()> {
+        self.check()?;
         if !self.dirty {
             return Ok(());
         }
         if self.used > PAGE_HEADER {
-            self.write_tail()?;
+            let written = self.write_tail();
+            self.poison_on_err(written)?;
         }
-        self.disk.sync()?;
+        let synced = self.disk.sync();
+        self.poison_on_err(synced)?;
         self.flushed = self.next;
         self.dirty = false;
         Ok(())
@@ -565,6 +588,7 @@ impl Wal {
                 next,
                 flushed: next,
                 dirty: false,
+                failed: false,
             }),
         })
     }
@@ -583,12 +607,18 @@ impl Wal {
     /// [`flush`](Self::flush) (or append a `Commit`, which flushes
     /// implicitly) to force it to stable storage. Records of any size are
     /// accepted: one larger than a page spans pages as fragments.
+    ///
+    /// Once a write or sync of the log has failed, this and every other
+    /// writing call returns [`StorageError::WalFailed`] until the process
+    /// restarts and recovers from the store.
     pub fn append(&self, rec: &LogRecord) -> StorageResult<Lsn> {
         let bytes = rec.encode();
         let mut inner = self.inner.lock();
+        inner.check()?;
         // A fragment needs its header plus at least one payload byte.
         if PAGE_SIZE - inner.used < FRAG_HEADER + 1 {
-            inner.close_page()?;
+            let closed = inner.close_page();
+            inner.poison_on_err(closed)?;
         }
         // Rotate at record boundaries only, once past the soft cap.
         if inner.page_idx >= self.segment_pages {
@@ -609,7 +639,8 @@ impl Wal {
             if rest.is_empty() {
                 break;
             }
-            inner.close_page()?;
+            let closed = inner.close_page();
+            inner.poison_on_err(closed)?;
             inner.buf[6] = FIRST_IS_CONTINUATION;
         }
         inner.next = Lsn { segment: inner.seg_id, offset: inner.tail_offset() };
@@ -628,7 +659,8 @@ impl Wal {
     fn rotate_locked(&self, inner: &mut WalInner) -> StorageResult<()> {
         inner.flush()?;
         let next_seg = inner.seg_id + 1;
-        inner.disk = self.store.open(next_seg)?;
+        let opened = self.store.open(next_seg);
+        inner.disk = inner.poison_on_err(opened)?;
         inner.seg_id = next_seg;
         inner.page_idx = 0;
         inner.buf.fill(0);

@@ -8,7 +8,7 @@ use staged_db::storage::{
     BufferPool, Catalog, Lsn, MemDisk, MemSegmentStore, MemSnapshotStore, SnapshotStore,
     StorageResult,
 };
-use staged_db::workload::load_wisconsin_table;
+use staged_db::workload::{load_wisconsin_table, load_wisconsin_table_partitioned};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -203,6 +203,39 @@ fn explain_reports_physical_plan() {
     let out = server.execute_sql("EXPLAIN SELECT * FROM wisc1 WHERE unique1 = 5").unwrap();
     let text: String = out.rows.iter().map(|r| r.to_string()).collect();
     assert!(text.contains("IndexScan"), "expected index plan, got {text}");
+    server.shutdown();
+}
+
+/// An autocommit `EXPLAIN` renders the plan as it runs: the SELECT gets
+/// its read view first, and the snapshot keeps the pruned index probe. The
+/// SELECT itself then touches a handful of pages, not the table.
+#[test]
+fn explain_shows_the_snapshot_index_scan_the_select_runs() {
+    let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 2048)));
+    load_wisconsin_table_partitioned(&cat, "big", 4000, 3, 4).unwrap();
+    cat.create_index("big_unique1", "big", "unique1").unwrap();
+    cat.analyze_table("big").unwrap();
+    let table_pages = cat.table("big").unwrap().heap.num_pages() as u64;
+    let server = StagedServer::new(
+        Arc::clone(&cat),
+        ServerConfig { partitions: 4, checkpoint_segments: None, ..ServerConfig::default() },
+    );
+    let out = server.execute_sql("EXPLAIN SELECT * FROM big WHERE unique1 = 1234").unwrap();
+    let text: Vec<String> = out.rows.iter().map(|r| r.to_string()).collect();
+    assert!(
+        text.iter().any(|l| l.contains("IndexScan big via big_unique1 key=1234")
+            && l.contains("snapshot")),
+        "expected a snapshot index scan, got {text:?}"
+    );
+    let pages = |s: staged_db::storage::buffer::PoolStats| s.hits + s.misses;
+    let before = pages(cat.pool().stats());
+    let out = server.execute_sql("SELECT * FROM big WHERE unique1 = 1234").unwrap();
+    let touched = pages(cat.pool().stats()) - before;
+    assert_eq!(out.rows.len(), 1);
+    assert!(
+        touched * 10 < table_pages,
+        "the SELECT touched {touched} of {table_pages} pages: not the index probe EXPLAIN shows"
+    );
     server.shutdown();
 }
 

@@ -354,3 +354,230 @@ proptest! {
         s.shutdown();
     }
 }
+
+// ---------------------------------------------------------------------------
+// Snapshot index probes: the same bag as the snapshot scan, under any history
+// ---------------------------------------------------------------------------
+
+mod probe {
+    use super::*;
+    use staged_db::engine::context::ExecContext;
+    use staged_db::engine::dml::{self, DmlLog};
+    use staged_db::engine::txn::TxnManager;
+    use staged_db::planner::plan::col_at;
+    use staged_db::sql::ast::{BinOp, Expr};
+    use staged_db::storage::catalog::TableInfo;
+    use staged_db::storage::{ReadView, SnapshotGuard, Wal};
+    use std::collections::HashSet;
+
+    /// Rows of `t (id, k, v)` loaded before the history starts.
+    const ROWS: i64 = 10;
+    /// Key domain of the indexed, non-partition-key column `k`.
+    const KEYS: i64 = 6;
+
+    /// Key bounds every check probes: points, closed and half-open ranges,
+    /// and the whole index.
+    fn bounds() -> Vec<(Option<i64>, Option<i64>)> {
+        let mut out: Vec<_> = (0..KEYS).map(|k| (Some(k), Some(k))).collect();
+        out.extend([(Some(1), Some(3)), (None, Some(2)), (Some(4), None), (None, None)]);
+        out.extend([(Some(ROWS / 2), Some(ROWS / 2)), (Some(3), Some(ROWS + 4))]);
+        out
+    }
+
+    fn bag(rows: impl Iterator<Item = Tuple>) -> Vec<String> {
+        let mut out: Vec<String> = rows.map(|t| t.to_string()).collect();
+        out.sort();
+        out
+    }
+
+    /// Every index of `t`, probed under `view` for every bound, must return
+    /// the bag the snapshot scan returns once filtered on the same bounds.
+    fn check(ctx: &ExecContext, t: &Arc<TableInfo>, view: ReadView) -> Result<(), String> {
+        for ix in ctx.catalog.indexes_for(t.id) {
+            for (lo, hi) in bounds() {
+                let probed = t.index_probe(&ix, lo, hi, Some(view)).map_err(|e| e.to_string())?;
+                let probed = bag(probed.into_iter().map(|(_, t)| t));
+                let in_range = |tuple: &Tuple| {
+                    let k = tuple.get(ix.column).as_int().unwrap();
+                    lo.is_none_or(|l| k >= l) && hi.is_none_or(|h| k <= h)
+                };
+                let scanned = bag(t
+                    .heap
+                    .scan()
+                    .with_snapshot(Arc::clone(&t.versions), view)
+                    .map(|r| r.unwrap().1)
+                    .filter(in_range));
+                if probed != scanned {
+                    return Err(format!(
+                        "{} [{lo:?}, {hi:?}] under {view:?}: probe {probed:?} != scan {scanned:?}",
+                        ix.name
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn by_id(id: i64) -> Option<Expr> {
+        Some(Expr::binary(col_at(0), BinOp::Eq, Expr::int(id)))
+    }
+
+    /// One step of a random history. Statements open a transaction when
+    /// none is open; `Commit`/`Rollback` close it.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Insert {
+            id: i64,
+            k: i64,
+        },
+        UpdateKey {
+            id: i64,
+            k: i64,
+        },
+        UpdateValue {
+            id: i64,
+        },
+        Delete {
+            id: i64,
+        },
+        Commit,
+        Rollback,
+        /// Pin a reader's view now (mid-transaction when one is open) and
+        /// check it at once, own-writes view included, and again at the end.
+        Pin,
+        /// Run version GC at the current horizon (skipped mid-transaction:
+        /// GC runs only at a quiesce point).
+        Vacuum,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (0u8..8, 0..ROWS + 4, 0..KEYS).prop_map(|(kind, id, k)| match kind {
+            0 => Step::Insert { id, k },
+            1 => Step::UpdateKey { id, k },
+            2 => Step::UpdateValue { id },
+            3 => Step::Delete { id },
+            4 => Step::Commit,
+            5 => Step::Rollback,
+            6 => Step::Pin,
+            _ => Step::Vacuum,
+        })
+    }
+
+    fn run(parts: usize, steps: &[Step]) -> Result<(), String> {
+        let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 512)));
+        cat.create_table_partitioned(
+            "t",
+            Schema::new(vec![
+                Column::new("id", DataType::Int),
+                Column::new("k", DataType::Int),
+                Column::new("v", DataType::Int),
+            ]),
+            parts,
+            0,
+        )
+        .unwrap();
+        let t = cat.table("t").unwrap();
+        for id in 0..ROWS {
+            t.heap
+                .insert(&Tuple::new(vec![Value::Int(id), Value::Int(id % KEYS), Value::Int(0)]))
+                .unwrap();
+        }
+        // One index on the partition key (pruned point probes), one on a
+        // column updates move rows across.
+        cat.create_index("t_id", "t", "id").unwrap();
+        cat.create_index("t_k", "t", "k").unwrap();
+        let ctx = ExecContext::new(Arc::clone(&cat));
+        let mgr = TxnManager::with_oracle(Arc::clone(cat.oracle()));
+        let wal = Wal::in_memory();
+        let mut open: Option<u64> = None;
+        let mut pinned: Vec<(SnapshotGuard, ReadView)> = Vec::new();
+        let err = |e: staged_db::engine::error::EngineError| e.to_string();
+        for s in steps {
+            let xid = match (s, open) {
+                (Step::Insert { .. }, None)
+                | (Step::UpdateKey { .. }, None)
+                | (Step::UpdateValue { .. }, None)
+                | (Step::Delete { .. }, None) => {
+                    let x = mgr.begin(&wal).map_err(err)?;
+                    open = Some(x);
+                    x
+                }
+                (_, Some(x)) => x,
+                (_, None) => 0,
+            };
+            let log = DmlLog::txn(&wal, xid, &mgr);
+            match *s {
+                Step::Insert { id, k } => {
+                    let row = Tuple::new(vec![Value::Int(id), Value::Int(k), Value::Int(0)]);
+                    dml::insert_rows(&ctx, &t, vec![row], Some(&log)).map_err(err)?;
+                }
+                Step::UpdateKey { id, k } => {
+                    dml::update_rows(&ctx, &t, &[(1, Expr::int(k))], &by_id(id), Some(&log))
+                        .map_err(err)?;
+                }
+                Step::UpdateValue { id } => {
+                    let bump = Expr::binary(col_at(2), BinOp::Add, Expr::int(1));
+                    dml::update_rows(&ctx, &t, &[(2, bump)], &by_id(id), Some(&log))
+                        .map_err(err)?;
+                }
+                Step::Delete { id } => {
+                    dml::delete_rows(&ctx, &t, &by_id(id), Some(&log)).map_err(err)?;
+                }
+                Step::Commit => {
+                    if let Some(x) = open.take() {
+                        mgr.commit(x, &ctx, &wal).map_err(err)?;
+                    }
+                }
+                Step::Rollback => {
+                    if let Some(x) = open.take() {
+                        mgr.rollback(x, &ctx, &wal).map_err(err)?;
+                    }
+                }
+                Step::Pin => {
+                    let guard = cat.oracle().pin();
+                    let view = ReadView::new(guard.ts(), 0);
+                    check(&ctx, &t, view)?;
+                    if let Some(x) = open {
+                        check(&ctx, &t, ReadView::new(guard.ts(), x))?;
+                    }
+                    pinned.push((guard, view));
+                }
+                Step::Vacuum => {
+                    if open.is_none() {
+                        let (horizon, pins_empty) = cat.oracle().min_active();
+                        t.versions.vacuum(horizon, pins_empty, &HashSet::new());
+                    }
+                }
+            }
+        }
+        if let Some(x) = open.take() {
+            mgr.commit(x, &ctx, &wal).map_err(err)?;
+        }
+        // Every reader pinned along the way still sees its own snapshot
+        // through the probe, as does a fresh one.
+        for (_, view) in &pinned {
+            check(&ctx, &t, *view)?;
+        }
+        check(&ctx, &t, ReadView::new(cat.oracle().latest(), 0))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// For random interleavings of key and non-key updates, deletes,
+        /// inserts, commits, rollbacks and GC, with readers pinned
+        /// mid-transaction, the snapshot index probe returns the same bag
+        /// as the snapshot scan over the same view, on one partition and
+        /// on three.
+        #[test]
+        fn snapshot_index_probe_matches_snapshot_scan(
+            steps in prop::collection::vec(step(), 1..40),
+            three_parts in any::<bool>(),
+        ) {
+            let parts = if three_parts { 3 } else { 1 };
+            if let Err(e) = run(parts, &steps) {
+                prop_assert!(false, "{} partition(s): {}", parts, e);
+            }
+        }
+    }
+}

@@ -583,3 +583,214 @@ fn wide_tuple_near_page_size_survives_wal_and_redo() {
         other => panic!("wrong value {other:?}"),
     }
 }
+
+// ---------------------------------------------------------------------------
+// Failed commits stay failed: a failed log write or sync poisons the WAL
+// ---------------------------------------------------------------------------
+
+use staged_db::server::{ServerConfig, StagedServer};
+use staged_db::storage::disk::IoStats;
+use staged_db::storage::{Lsn, PageId, StorageResult};
+use staged_db::wire::{parse_change, parse_repl_frame, ReplFrame};
+use std::collections::HashMap;
+use std::sync::Mutex;
+
+/// The log operation an armed [`FaultySegmentStore`] fails next.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fault {
+    Write,
+    Sync,
+}
+
+/// A segment store over a [`MemSegmentStore`] that models a disk with a
+/// volatile cache: page writes land in a per-segment cache that reads see
+/// first, and only a successful sync moves them to the inner store, which
+/// is what survives a crash. An armed fault fails the next page write or
+/// sync; a failed sync drops the cached pages, as a kernel may after a
+/// failed fsync.
+struct FaultySegmentStore {
+    inner: Arc<MemSegmentStore>,
+    disks: Mutex<HashMap<u64, Arc<FaultyDisk>>>,
+    armed: Arc<Mutex<Option<Fault>>>,
+}
+
+impl FaultySegmentStore {
+    fn new() -> Arc<Self> {
+        Arc::new(Self {
+            inner: Arc::new(MemSegmentStore::new()),
+            disks: Mutex::new(HashMap::new()),
+            armed: Arc::new(Mutex::new(None)),
+        })
+    }
+
+    fn arm(&self, fault: Fault) {
+        *self.armed.lock().unwrap() = Some(fault);
+    }
+}
+
+struct FaultyDisk {
+    inner: Arc<dyn DiskManager>,
+    cache: Mutex<HashMap<u64, Vec<u8>>>,
+    armed: Arc<Mutex<Option<Fault>>>,
+}
+
+impl FaultyDisk {
+    /// Consume the armed fault if it is `fault`.
+    fn trips(&self, fault: Fault) -> bool {
+        let mut armed = self.armed.lock().unwrap();
+        let hit = *armed == Some(fault);
+        if hit {
+            *armed = None;
+        }
+        hit
+    }
+}
+
+impl DiskManager for FaultyDisk {
+    fn allocate(&self) -> StorageResult<PageId> {
+        self.inner.allocate()
+    }
+
+    fn read_page(&self, page: PageId, buf: &mut [u8]) -> StorageResult<()> {
+        match self.cache.lock().unwrap().get(&page.0) {
+            Some(bytes) => {
+                buf.copy_from_slice(bytes);
+                Ok(())
+            }
+            None => self.inner.read_page(page, buf),
+        }
+    }
+
+    fn write_page(&self, page: PageId, buf: &[u8]) -> StorageResult<()> {
+        if self.trips(Fault::Write) {
+            return Err(StorageError::Io("injected write failure".into()));
+        }
+        self.cache.lock().unwrap().insert(page.0, buf.to_vec());
+        Ok(())
+    }
+
+    fn num_pages(&self) -> u64 {
+        self.inner.num_pages()
+    }
+
+    fn sync(&self) -> StorageResult<()> {
+        let mut cache = self.cache.lock().unwrap();
+        if self.trips(Fault::Sync) {
+            cache.clear();
+            return Err(StorageError::Io("injected sync failure".into()));
+        }
+        for (page, bytes) in cache.drain() {
+            self.inner.write_page(PageId(page), &bytes)?;
+        }
+        self.inner.sync()
+    }
+
+    fn stats(&self) -> IoStats {
+        self.inner.stats()
+    }
+}
+
+impl SegmentStore for FaultySegmentStore {
+    fn open(&self, id: u64) -> StorageResult<Arc<dyn DiskManager>> {
+        let mut disks = self.disks.lock().unwrap();
+        if let Some(d) = disks.get(&id) {
+            return Ok(Arc::clone(d) as Arc<dyn DiskManager>);
+        }
+        let disk = Arc::new(FaultyDisk {
+            inner: self.inner.open(id)?,
+            cache: Mutex::new(HashMap::new()),
+            armed: Arc::clone(&self.armed),
+        });
+        disks.insert(id, Arc::clone(&disk));
+        Ok(disk)
+    }
+
+    fn delete(&self, id: u64) -> StorageResult<()> {
+        self.disks.lock().unwrap().remove(&id);
+        self.inner.delete(id)
+    }
+
+    fn list(&self) -> StorageResult<Vec<u64>> {
+        self.inner.list()
+    }
+
+    fn io_stats(&self) -> IoStats {
+        self.inner.io_stats()
+    }
+}
+
+/// `INSERT 1` commits, `INSERT 2` fails in its commit flush, `INSERT 3` is
+/// refused with the log's stable error. Recovery from what reached stable
+/// storage yields exactly {1}, and neither a replica feed nor a SUBSCRIBE
+/// feed attached for the whole run ever ships a record of `INSERT 2`.
+#[test]
+fn a_failed_commit_stays_failed_in_recovery_and_on_every_feed() {
+    for fault in [Fault::Sync, Fault::Write] {
+        let store = FaultySegmentStore::new();
+        let server = StagedServer::with_stores(
+            Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 256))),
+            ServerConfig { partitions: 1, ..ServerConfig::default() },
+            None,
+            Arc::clone(&store) as Arc<dyn SegmentStore>,
+            Arc::new(MemSnapshotStore::new()),
+        )
+        .unwrap();
+        server.execute_sql("CREATE TABLE t (k INT, v INT)").unwrap();
+        let (_, replica) = server.replication_hub().subscribe(Lsn::ZERO).unwrap();
+        let (_, subscriber) = server.reactivity_hub().subscribe("t", None).unwrap();
+
+        server.execute_sql("INSERT INTO t VALUES (1, 1)").unwrap();
+        store.arm(fault);
+        let failed = server.execute_sql("INSERT INTO t VALUES (2, 2)");
+        assert!(failed.is_err(), "{fault:?}: the commit whose flush failed reported success");
+        let refused = server.execute_sql("INSERT INTO t VALUES (3, 3)").unwrap_err();
+        assert!(
+            refused.to_string().contains(&StorageError::WalFailed.to_string()),
+            "{fault:?}: expected the log's stable error, got {refused}"
+        );
+        // Reads still run, and see only the acknowledged row.
+        let out = server.execute_sql("SELECT k FROM t").unwrap();
+        assert_eq!(out.rows, vec![Tuple::new(vec![Value::Int(1)])], "{fault:?}");
+
+        // Every committed record has been flushed; pump it all out.
+        server.replication_hub().pump();
+        let mut shipped_keys = Vec::new();
+        let mut shipped_xids = std::collections::HashSet::new();
+        for line in std::iter::from_fn(|| replica.try_recv().ok()) {
+            if let ReplFrame::Record { payload, .. } = parse_repl_frame(&line).unwrap() {
+                let rec = LogRecord::from_bytes(&payload).unwrap();
+                shipped_xids.insert(rec.xid());
+                if let LogRecord::Insert { bytes, .. } = rec {
+                    shipped_keys.push(Tuple::decode(&bytes).unwrap().get(0).clone());
+                }
+            }
+        }
+        assert_eq!(shipped_keys, vec![Value::Int(1)], "{fault:?}: replica feed");
+        assert_eq!(shipped_xids.len(), 1, "{fault:?}: replica saw records of {shipped_xids:?}");
+        let changed: Vec<Option<String>> = std::iter::from_fn(|| subscriber.try_recv().ok())
+            .filter_map(|line| parse_change(&line).ok())
+            .map(|c| c.fields[0].clone())
+            .collect();
+        assert_eq!(changed, vec![Some("1".to_string())], "{fault:?}: subscription feed");
+        server.shutdown();
+
+        // Crash: only what reached stable storage survives.
+        let ctx = empty_ctx();
+        ctx.catalog
+            .create_table(
+                "t",
+                Schema::new(vec![Column::new("k", DataType::Int), Column::new("v", DataType::Int)]),
+            )
+            .unwrap();
+        checkpoint::recover(
+            &ctx,
+            Arc::clone(&store.inner) as Arc<dyn SegmentStore>,
+            &MemSnapshotStore::new(),
+            staged_db::storage::DEFAULT_SEGMENT_PAGES,
+        )
+        .unwrap();
+        let t = ctx.catalog.table("t").unwrap();
+        let keys: Vec<i64> = t.heap.scan().map(|r| r.unwrap().1.get(0).as_int().unwrap()).collect();
+        assert_eq!(keys, vec![1], "{fault:?}: recovery");
+    }
+}
